@@ -17,7 +17,7 @@
 //! | `striped_fetch` | one object striped across 3 warm TCP replicas |
 //! | `warm_cache`    | warm-ring symbol serving (store hit path, no sockets) |
 //! | `gf2_kernel`    | raw coding kernel: bulk payload XOR + relay recode, no sockets |
-//! | `sharded_1k`    | 1000-node k-regular overlay on the sharded reactor runtime, plus a 64-node threaded reference for the per-node goodput ratio and a flight-recorder-armed A/B rerun gating tracing overhead (`tracing_overhead_2x`) |
+//! | `sharded_1k`    | 1000-node k-regular overlay on 4 reactor workers, plus a 64-node reference on the same 4 workers for the per-node goodput ratio and a flight-recorder-armed A/B rerun gating tracing overhead (`tracing_overhead_2x`) |
 //!
 //! Flags: `--smoke` (CI-sized runs), `--out <dir>` (where the JSON
 //! lands, default `.`), `--only <scenario>` (repeatable filter),
@@ -132,7 +132,7 @@ fn pacing(loss: f64, smoke: bool, seed: u64) -> Result<Outcome, String> {
             DatagramFaultPlan::clean(0xF00D ^ seed).drop_rate(loss).reorder(0.05, 8),
         )),
         trace_capacity: None,
-        runtime: SwarmRuntime::Threaded,
+        runtime: SwarmRuntime::default(),
         metrics_bind: None,
         flight_recorder: None,
     };
@@ -175,7 +175,7 @@ fn line(hops: usize, smoke: bool, seed: u64) -> Result<Outcome, String> {
         ),
         node_faults: None,
         trace_capacity: None,
-        runtime: SwarmRuntime::Threaded,
+        runtime: SwarmRuntime::default(),
         metrics_bind: None,
         flight_recorder: None,
     };
@@ -361,7 +361,7 @@ fn gf2_kernel(smoke: bool, seed: u64) -> Result<Outcome, String> {
 }
 
 /// One seeded k-regular dissemination, parameterized by size and
-/// runtime — the body of the `sharded_1k` scenario and its threaded
+/// runtime — the body of the `sharded_1k` scenario and its 64-node
 /// reference run.
 fn k_regular_run(
     nodes: usize,
@@ -403,14 +403,14 @@ fn k_regular_run(
     Ok(report)
 }
 
-/// The sharded-runtime scale scenario: 1000 nodes on the reactor, with
-/// a 64-node threaded run of the same shape and parameters as the
+/// The scale scenario: 1000 nodes on 4 reactor workers, with a 64-node
+/// run of the same shape and parameters on the same 4 workers as the
 /// per-node reference. Smoke and full are the same size — scale *is*
 /// the scenario, and the run is seconds even on one core. The reported
 /// goodput (and the regression gate) is the 1000-node run's; the
 /// per-node figures of both runs land in extra JSON fields, and the
 /// scenario fails outright when the sharded per-node goodput falls more
-/// than 2× below the threaded reference after CPU-share normalization.
+/// than 2× below the 64-node reference after CPU-share normalization.
 ///
 /// A third run repeats the 1000-node shape with the flight recorder
 /// armed (criterion `tracing_overhead_2x`): scheduler tracing claims to
@@ -418,14 +418,10 @@ fn k_regular_run(
 /// traced run must hold within 2× of the untraced one or the scenario
 /// fails.
 fn sharded_1k(_smoke: bool, seed: u64) -> Result<Outcome, String> {
-    let sharded = k_regular_run(1000, SwarmRuntime::Sharded { workers: 4 }, None, seed)?;
-    let threaded = k_regular_run(64, SwarmRuntime::Threaded, None, seed)?;
-    let traced = k_regular_run(
-        1000,
-        SwarmRuntime::Sharded { workers: 4 },
-        Some(FlightRecorder::default()),
-        seed,
-    )?;
+    let runtime = SwarmRuntime::Sharded { workers: 4 };
+    let sharded = k_regular_run(1000, runtime, None, seed)?;
+    let reference = k_regular_run(64, runtime, None, seed)?;
+    let traced = k_regular_run(1000, runtime, Some(FlightRecorder::default()), seed)?;
 
     // Per-node goodput: object bytes per second per completing peer —
     // the whole object reaches every peer, so this is object_len over
@@ -435,21 +431,21 @@ fn sharded_1k(_smoke: bool, seed: u64) -> Result<Outcome, String> {
     // figure — shrinks ~16x by construction, for any runtime. The
     // comparable quantity is per-node goodput normalized by that share
     // (equivalently, whole-machine swarm goodput); the gate holds the
-    // normalized sharded figure within 2x of the threaded reference,
+    // normalized 1000-node figure within 2x of the 64-node reference,
     // and both raw figures land in the report for reading.
     let per_node = |report: &ltnc_topo::TopologyReport| {
         report.object_len as f64 / report.swarm.elapsed.as_secs_f64()
     };
     let per_node_sharded = per_node(&sharded);
-    let per_node_threaded = per_node(&threaded);
+    let per_node_reference = per_node(&reference);
     let per_node_traced = per_node(&traced);
     let cpu_share = 1000.0 / 64.0;
     let normalized_sharded = per_node_sharded * cpu_share;
-    if normalized_sharded * 2.0 < per_node_threaded {
+    if normalized_sharded * 2.0 < per_node_reference {
         return Err(format!(
             "per-node goodput collapsed at scale: {per_node_sharded:.1} B/s/node sharded@1000 \
              ({normalized_sharded:.1} after the {cpu_share:.1}x CPU-share normalization) vs \
-             {per_node_threaded:.1} B/s/node threaded@64 (more than 2x below)"
+             {per_node_reference:.1} B/s/node sharded@64 (more than 2x below)"
         ));
     }
     if per_node_traced * 2.0 < per_node_sharded {
@@ -468,8 +464,8 @@ fn sharded_1k(_smoke: bool, seed: u64) -> Result<Outcome, String> {
         by_hop: sharded.latency_by_hop.clone(),
         extras: vec![
             ("per_node_goodput_sharded_1k", per_node_sharded),
-            ("per_node_goodput_threaded_64", per_node_threaded),
-            ("per_node_ratio_cpu_normalized", normalized_sharded / per_node_threaded),
+            ("per_node_goodput_sharded_64", per_node_reference),
+            ("per_node_ratio_cpu_normalized", normalized_sharded / per_node_reference),
             ("per_node_goodput_sharded_1k_traced", per_node_traced),
             ("tracing_overhead_ratio", per_node_sharded / per_node_traced),
         ],

@@ -35,8 +35,6 @@ pub struct WireCounters {
     /// Well-formed datagrams discarded for belonging to another session or
     /// scheme (not corruption: e.g. a stale peer from a previous run).
     pub session_mismatches: u64,
-    /// Inbound datagrams dropped because the actor's bounded queue was full.
-    pub inbound_dropped: u64,
     /// Offers that never received feedback and were forgotten at their TTL
     /// — the loss signal the adaptive pacing budget reacts to.
     pub offer_timeouts: u64,
@@ -68,7 +66,6 @@ impl WireCounters {
         self.useful_deliveries += other.useful_deliveries;
         self.decode_errors += other.decode_errors;
         self.session_mismatches += other.session_mismatches;
-        self.inbound_dropped += other.inbound_dropped;
         self.offer_timeouts += other.offer_timeouts;
         self.budget_raises += other.budget_raises;
         self.budget_cuts += other.budget_cuts;
@@ -108,7 +105,6 @@ impl WireCounters {
             useful_deliveries: self.useful_deliveries.saturating_sub(earlier.useful_deliveries),
             decode_errors: self.decode_errors.saturating_sub(earlier.decode_errors),
             session_mismatches: self.session_mismatches.saturating_sub(earlier.session_mismatches),
-            inbound_dropped: self.inbound_dropped.saturating_sub(earlier.inbound_dropped),
             offer_timeouts: self.offer_timeouts.saturating_sub(earlier.offer_timeouts),
             budget_raises: self.budget_raises.saturating_sub(earlier.budget_raises),
             budget_cuts: self.budget_cuts.saturating_sub(earlier.budget_cuts),
@@ -151,7 +147,7 @@ impl fmt::Display for WireCounters {
             f,
             "sent {} dgrams / {} B ({} B payload), recv {} dgrams / {} B, \
              transfers {} offered / {} aborted / {} delivered ({} useful) / {} timed out, \
-             {} decode errors, {} foreign-session, {} dropped, \
+             {} decode errors, {} foreign-session, \
              budget {} raises / {} cuts",
             self.datagrams_sent,
             self.bytes_sent,
@@ -165,7 +161,6 @@ impl fmt::Display for WireCounters {
             self.offer_timeouts,
             self.decode_errors,
             self.session_mismatches,
-            self.inbound_dropped,
             self.budget_raises,
             self.budget_cuts,
         )
@@ -231,7 +226,6 @@ mod tests {
             useful_deliveries: 5,
             decode_errors: 1,
             session_mismatches: 2,
-            inbound_dropped: 3,
             offer_timeouts: 1,
             budget_raises: 2,
             budget_cuts: 1,
@@ -248,7 +242,6 @@ mod tests {
             useful_deliveries: 12,
             decode_errors: 1,
             session_mismatches: 2,
-            inbound_dropped: 4,
             offer_timeouts: 3,
             budget_raises: 6,
             budget_cuts: 2,
@@ -268,7 +261,6 @@ mod tests {
                 useful_deliveries: 7,
                 decode_errors: 0,
                 session_mismatches: 0,
-                inbound_dropped: 1,
                 offer_timeouts: 2,
                 budget_raises: 4,
                 budget_cuts: 1,

@@ -223,7 +223,7 @@ fn main() -> ExitCode {
             session: 0xF00D_0000 + scheme.wire_id() as u64,
             faults,
             trace_capacity: None,
-            runtime: SwarmRuntime::Threaded,
+            runtime: SwarmRuntime::default(),
             metrics_bind: None,
             flight_recorder: None,
         };

@@ -18,10 +18,14 @@
 //! * [`FaultySocket`] is the datagram counterpart: it wraps a
 //!   [`UdpSocket`] and applies a [`DatagramFaultPlan`] per direction —
 //!   whole-datagram drops, duplicates, reordering within a bounded
-//!   window, and per-datagram delays. [`crate::peer::PeerNode`] runs all
-//!   its traffic through one, so the UDP gossip tests exercise exactly
-//!   the lossy links the paper's redundancy and this crate's adaptive
-//!   pacing exist for. On top of the default inbound plan, *per-link*
+//!   window, and per-datagram delays. Every node runs all its traffic
+//!   through one, so the UDP gossip tests exercise exactly the lossy
+//!   links the paper's redundancy and this crate's adaptive pacing exist
+//!   for. No datagram fault blocks the caller: a delayed datagram waits
+//!   in a hold queue until its release deadline, so a delay holds only
+//!   that one datagram and later ones may overtake it
+//!   ([`FaultySocket::next_release`] tells the node's poll loop when to
+//!   come back). On top of the default inbound plan, *per-link*
 //!   plans ([`FaultySocket::set_link_plan`]) override the fault rates for
 //!   one sender at a time, with per-link tallies
 //!   ([`FaultySocket::link_counters`]) — how the multi-hop topology
@@ -41,7 +45,7 @@ use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use ltnc_telemetry::{FaultKind, TraceEvent, Tracer};
 use rand::rngs::SmallRng;
@@ -723,22 +727,79 @@ impl FaultTotals {
     }
 }
 
-/// A datagram held back by the reorder fault, released once `remaining`
-/// later datagrams have passed it (or the link goes idle).
+/// How long a reorder hold waits to be overtaken before it is released
+/// anyway: a link quiet for this long will not overtake it.
+const RELEASE_DELAY: Duration = Duration::from_millis(20);
+
+/// A datagram a fault plan holds back: delayed, held for reordering, or
+/// the second copy of a duplicate.
 struct HeldDatagram {
     bytes: Vec<u8>,
     peer: SocketAddr,
-    remaining: usize,
+    /// When its delay fault ends (its arrival, if it was not delayed):
+    /// it is never released before this.
+    ready_at: Instant,
+    /// Reorder holds: how many later datagrams must still overtake it.
+    /// While non-zero, the hold waits [`RELEASE_DELAY`] past `ready_at`.
+    overtakes: usize,
+}
+
+impl HeldDatagram {
+    /// The release deadline the hold queue is ordered by.
+    fn due(&self) -> Instant {
+        if self.overtakes > 0 {
+            self.ready_at + RELEASE_DELAY
+        } else {
+            self.ready_at
+        }
+    }
+}
+
+/// The faults one plan injected into one datagram.
+#[derive(Default)]
+struct Verdict {
+    delayed: bool,
+    dropped: bool,
+    reordered: bool,
+    duplicated: bool,
+}
+
+impl Verdict {
+    /// The datagram is still deliverable right now.
+    fn passes(&self) -> bool {
+        !(self.delayed || self.dropped || self.reordered)
+    }
+
+    /// The verdict as counters of the given direction.
+    fn counters(&self, inbound: bool) -> DatagramFaultCounters {
+        let [d, x, r, y] =
+            [self.delayed, self.dropped, self.reordered, self.duplicated].map(u64::from);
+        if inbound {
+            DatagramFaultCounters {
+                delayed_in: d,
+                dropped_in: x,
+                reordered_in: r,
+                duplicated_in: y,
+                ..Default::default()
+            }
+        } else {
+            DatagramFaultCounters {
+                delayed_out: d,
+                dropped_out: x,
+                reordered_out: r,
+                duplicated_out: y,
+                ..Default::default()
+            }
+        }
+    }
 }
 
 struct DirectionState {
     plan: DatagramFaultPlan,
     rng: SmallRng,
-    /// Datagrams held by the reorder fault, oldest first.
+    /// Every datagram the plan holds back, ordered by release deadline
+    /// (ties in arrival order).
     held: VecDeque<HeldDatagram>,
-    /// Datagrams due for delivery before anything new is pulled from the
-    /// socket (expired holds, duplicate copies), oldest first.
-    ready: VecDeque<(Vec<u8>, SocketAddr)>,
 }
 
 impl DirectionState {
@@ -747,20 +808,71 @@ impl DirectionState {
             plan,
             rng: SmallRng::seed_from_u64(plan.seed ^ 0xDA7A_FA17),
             held: VecDeque::new(),
-            ready: VecDeque::new(),
         }
     }
 
-    /// One datagram has passed the held ones: age them, moving expired
-    /// holds onto the ready queue (their displacement reached the window).
-    fn age_held(&mut self) {
-        for held in &mut self.held {
-            held.remaining = held.remaining.saturating_sub(1);
+    fn hold(&mut self, held: HeldDatagram) {
+        let due = held.due();
+        let at = self.held.partition_point(|h| h.due() <= due);
+        self.held.insert(at, held);
+    }
+
+    /// The earliest release deadline of anything held.
+    fn next_due(&self) -> Option<Instant> {
+        self.held.front().map(HeldDatagram::due)
+    }
+
+    /// Pops the first hold whose deadline is at or before `now`.
+    fn pop_due(&mut self, now: Instant) -> Option<HeldDatagram> {
+        if self.next_due()? <= now {
+            self.held.pop_front()
+        } else {
+            None
         }
-        while self.held.front().is_some_and(|h| h.remaining == 0) {
-            let held = self.held.pop_front().expect("checked non-empty");
-            self.ready.push_back((held.bytes, held.peer));
+    }
+
+    /// Runs one datagram arriving at `now` through the plan. Every
+    /// decision is drawn up front, in arrival order, so a fixed seed
+    /// replays the same pattern; whatever the plan holds back goes onto
+    /// the hold queue. When the verdict [`passes`](Verdict::passes), the
+    /// caller delivers the datagram itself.
+    fn apply(&mut self, bytes: &[u8], peer: SocketAddr, now: Instant) -> Verdict {
+        // One more datagram has passed every reorder hold; those
+        // overtaken by their whole window fall due at `ready_at`.
+        let mut overtaken = false;
+        for held in self.held.iter_mut().filter(|h| h.overtakes > 0) {
+            held.overtakes -= 1;
+            overtaken |= held.overtakes == 0;
         }
+        if overtaken {
+            self.held.make_contiguous().sort_by_key(HeldDatagram::due);
+        }
+
+        let plan = self.plan;
+        let mut verdict = Verdict::default();
+        let mut ready_at = now;
+        if plan.delay_rate > 0.0 && self.rng.gen_bool(plan.delay_rate) {
+            verdict.delayed = true;
+            ready_at += plan.delay;
+        }
+        let mut overtakes = 0;
+        if plan.drop_rate > 0.0 && self.rng.gen_bool(plan.drop_rate) {
+            verdict.dropped = true;
+            return verdict;
+        } else if plan.reorder_window > 0
+            && plan.reorder_rate > 0.0
+            && self.rng.gen_bool(plan.reorder_rate)
+        {
+            verdict.reordered = true;
+            overtakes = self.rng.gen_range(1..=plan.reorder_window);
+        } else if plan.duplicate_rate > 0.0 && self.rng.gen_bool(plan.duplicate_rate) {
+            verdict.duplicated = true;
+            self.hold(HeldDatagram { bytes: bytes.to_vec(), peer, ready_at, overtakes: 0 });
+        }
+        if !verdict.passes() {
+            self.hold(HeldDatagram { bytes: bytes.to_vec(), peer, ready_at, overtakes });
+        }
+        verdict
     }
 }
 
@@ -773,7 +885,7 @@ struct LinkState {
 
 /// The whole inbound side of a [`FaultySocket`]: the default plan every
 /// datagram crosses, plus per-origin overrides keyed by sender address
-/// (ordered, so multi-link delivery and draining are deterministic).
+/// (ordered, so multi-link delivery is deterministic).
 struct InboundState {
     default: DirectionState,
     links: BTreeMap<SocketAddr, LinkState>,
@@ -789,77 +901,86 @@ impl InboundState {
         self.default.plan.is_clean() && self.links.is_empty()
     }
 
-    /// The direction state (and per-link counters, if any) a datagram
-    /// from `from` must cross.
-    fn route(
-        &mut self,
-        from: SocketAddr,
-    ) -> (&mut DirectionState, Option<&mut DatagramFaultCounters>) {
-        if self.links.contains_key(&from) {
-            let link = self.links.get_mut(&from).expect("checked above");
-            (&mut link.dir, Some(&mut link.counters))
-        } else {
-            (&mut self.default, None)
-        }
+    fn dirs(&self) -> impl Iterator<Item = &DirectionState> {
+        std::iter::once(&self.default).chain(self.links.values().map(|link| &link.dir))
     }
 
-    /// Pops the oldest due datagram from any ready queue (default first,
-    /// then links in address order).
-    fn pop_ready(&mut self) -> Option<(Vec<u8>, SocketAddr)> {
-        if let Some(ready) = self.default.ready.pop_front() {
-            return Some(ready);
-        }
-        self.links.values_mut().find_map(|link| link.dir.ready.pop_front())
+    /// The earliest release deadline of any inbound hold.
+    fn next_due(&self) -> Option<Instant> {
+        self.dirs().filter_map(DirectionState::next_due).min()
     }
 
-    /// Pops one datagram still held for reordering (default first, then
-    /// links in address order) — the idle-link release path.
-    fn pop_held(&mut self) -> Option<(Vec<u8>, SocketAddr)> {
-        if let Some(held) = self.default.held.pop_front() {
-            return Some((held.bytes, held.peer));
+    /// Pops the inbound hold with the earliest deadline, if it is due by
+    /// `now`.
+    fn pop_due(&mut self, now: Instant) -> Option<HeldDatagram> {
+        let InboundState { default, links } = self;
+        std::iter::once(default)
+            .chain(links.values_mut().map(|link| &mut link.dir))
+            .filter(|dir| dir.next_due().is_some_and(|due| due <= now))
+            .min_by_key(|dir| dir.next_due())?
+            .pop_due(now)
+    }
+
+    /// Runs one freshly received datagram through the plan its origin
+    /// routes to (a per-link plan shadows the default for its origin and
+    /// tallies what it injects).
+    fn apply(&mut self, bytes: &[u8], peer: SocketAddr, now: Instant) -> Verdict {
+        match self.links.get_mut(&peer) {
+            Some(link) => {
+                let verdict = link.dir.apply(bytes, peer, now);
+                link.counters.merge(&verdict.counters(true));
+                verdict
+            }
+            None => self.default.apply(bytes, peer, now),
         }
-        self.links
-            .values_mut()
-            .find_map(|link| link.dir.held.pop_front().map(|h| (h.bytes, h.peer)))
     }
 }
 
 /// A [`UdpSocket`] wrapper injecting seeded whole-datagram faults.
 ///
-/// Wraps the blocking two-call API [`PeerNode`] uses — `recv_from` and
-/// `send_to` — and applies one [`DatagramFaultPlan`] per direction:
-/// drops, duplicates, reordering within a bounded window, and delays.
-/// Clones share fault state (and counters), so a receive handle on one
-/// thread and a send handle on another see one coherent plan.
+/// Wraps a nonblocking socket's `send_to` and receive path and applies
+/// one [`DatagramFaultPlan`] per direction: drops, duplicates,
+/// reordering within a bounded window, and delays. Clones share fault
+/// state (and counters), so every handle onto one socket sees one
+/// coherent plan.
 ///
-/// Reordered datagrams are held until enough later traffic has overtaken
-/// them; when the link goes idle (a read times out) held datagrams are
-/// released instead — outbound ones onto the wire, the oldest inbound
-/// one to the caller — and dropping a handle flushes the outbound queue
-/// too, so a held datagram is delayed, never lost. Dropped datagrams
-/// surface to a blocking reader as
-/// [`io::ErrorKind::WouldBlock`], exactly like a read timeout — callers
-/// with a retry loop need no changes.
+/// No fault ever blocks the caller. A datagram the plan holds back waits
+/// in its direction's hold queue, ordered by release deadline:
 ///
-/// [`PeerNode`]: crate::peer::PeerNode
+/// * a *delayed* datagram until its delay has passed — only that one
+///   datagram waits, so later ones may overtake it;
+/// * a *reordered* one until enough later datagrams have overtaken it,
+///   or until 20ms have passed without that happening;
+/// * the second copy of a *duplicated* one until the original went out.
+///
+/// [`FaultySocket::try_recv_from`] hands out inbound holds once their
+/// deadline has passed. Outbound holds go onto the wire from the next
+/// [`FaultySocket::send_to`] or [`FaultySocket::release_due`] call after
+/// their deadline, and dropping a handle flushes them all, so a held
+/// datagram is late, never lost. [`FaultySocket::next_release`] tells a
+/// poll loop when to come back.
 ///
 /// # Example
 ///
 /// ```
 /// use std::net::UdpSocket;
+/// use std::time::{Duration, Instant};
 /// use ltnc_net::faults::{DatagramFaultPlan, DatagramFaults, FaultySocket};
 ///
 /// let inner = UdpSocket::bind("127.0.0.1:0").unwrap();
 /// let faults = DatagramFaults::inbound(DatagramFaultPlan::clean(7).drop_rate(1.0));
 /// let socket = FaultySocket::new(inner, faults).unwrap();
+/// socket.set_nonblocking(true).unwrap();
 ///
 /// let sender = UdpSocket::bind("127.0.0.1:0").unwrap();
 /// sender.send_to(b"doomed", socket.local_addr().unwrap()).unwrap();
 ///
-/// // Every inbound datagram is dropped: the reader sees only timeouts.
-/// socket.set_read_timeout(Some(std::time::Duration::from_millis(50))).unwrap();
+/// // Every inbound datagram is dropped: the reader never gets one.
 /// let mut buf = [0u8; 64];
-/// assert!(socket.recv_from(&mut buf).is_err());
+/// let deadline = Instant::now() + Duration::from_secs(5);
+/// while socket.fault_counters().dropped_in == 0 && Instant::now() < deadline {
+///     assert!(socket.try_recv_from(&mut buf).unwrap().is_none());
+/// }
 /// assert_eq!(socket.fault_counters().dropped_in, 1);
 /// ```
 pub struct FaultySocket {
@@ -933,7 +1054,7 @@ impl FaultySocket {
     }
 
     /// A second handle to the same socket sharing the same fault state
-    /// (the socket-thread / actor-thread split of [`crate::peer`]).
+    /// (e.g. for a metrics endpoint reading the fault counters).
     ///
     /// # Errors
     ///
@@ -957,15 +1078,6 @@ impl FaultySocket {
         self.socket.local_addr()
     }
 
-    /// Sets the read timeout of the wrapped socket.
-    ///
-    /// # Errors
-    ///
-    /// Propagates `UdpSocket::set_read_timeout` failures.
-    pub fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        self.socket.set_read_timeout(timeout)
-    }
-
     /// Faults injected so far, both directions.
     #[must_use]
     pub fn fault_counters(&self) -> DatagramFaultCounters {
@@ -981,134 +1093,17 @@ impl FaultySocket {
         }
     }
 
-    /// Receives one datagram, applying the inbound fault plan.
+    /// Receives one datagram without ever blocking, applying the inbound
+    /// fault plan. Requires the socket to be in nonblocking mode (see
+    /// [`FaultySocket::set_nonblocking`]).
     ///
-    /// Dropped datagrams (and datagrams freshly held for reordering)
-    /// surface as [`io::ErrorKind::WouldBlock`], indistinguishable from a
-    /// read timeout to the caller's retry loop.
-    ///
-    /// # Errors
-    ///
-    /// Everything `UdpSocket::recv_from` can return, plus the synthetic
-    /// `WouldBlock` described above.
-    pub fn recv_from(&self, buf: &mut [u8]) -> io::Result<(usize, SocketAddr)> {
-        let mut state = self.recv.lock().expect("recv fault state poisoned");
-        if let Some((bytes, peer)) = state.pop_ready() {
-            return Ok(deliver(&bytes, peer, buf));
-        }
-        if state.is_clean() {
-            let result = self.socket.recv_from(buf);
-            if let Err(e) = &result {
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut {
-                    // Even with a clean inbound plan, an idle link must
-                    // release what the *outbound* reorder fault holds.
-                    self.flush_held_send();
-                }
-            }
-            return result;
-        }
-        match self.socket.recv_from(buf) {
-            Ok((len, peer)) => {
-                match self.apply_inbound(&mut state, buf, len, peer) {
-                    None => Ok((len, peer)),
-                    // The arriving datagram was consumed (dropped, held):
-                    // hand out anything already due instead, else signal
-                    // the caller to retry.
-                    Some(reason) => match state.pop_ready() {
-                        Some((bytes, peer)) => Ok(deliver(&bytes, peer, buf)),
-                        None => Err(io::Error::new(
-                            io::ErrorKind::WouldBlock,
-                            format!("fault injection: {reason}"),
-                        )),
-                    },
-                }
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                // Idle link: nothing further will overtake held datagrams,
-                // so release them — every held *outbound* one onto the
-                // wire, the oldest inbound one to the caller. Delayed,
-                // never stranded (a node that converged and stopped
-                // sending must not strand its final COMPLETEs).
-                self.flush_held_send();
-                match state.pop_held() {
-                    Some((bytes, peer)) => Ok(deliver(&bytes, peer, buf)),
-                    None => Err(e),
-                }
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Pushes one freshly received datagram through the inbound fault
-    /// plan its origin routes to. Returns `None` when the datagram
-    /// survives (it is still in `buf`; a duplicate copy may have been
-    /// queued as ready), or `Some(reason)` when the plan consumed it
-    /// (dropped, or held for reordering).
-    fn apply_inbound(
-        &self,
-        state: &mut InboundState,
-        buf: &[u8],
-        len: usize,
-        peer: SocketAddr,
-    ) -> Option<&'static str> {
-        // Per-link plans shadow the default for their origin; the
-        // datagram crosses exactly one plan either way.
-        let (dir, link) = state.route(peer);
-        dir.age_held();
-        let plan = dir.plan;
-        let mut delta = DatagramFaultCounters::default();
-        let mut consumed = None;
-        if plan.delay_rate > 0.0 && dir.rng.gen_bool(plan.delay_rate) {
-            delta.delayed_in += 1;
-            thread::sleep(plan.delay);
-        }
-        if plan.drop_rate > 0.0 && dir.rng.gen_bool(plan.drop_rate) {
-            delta.dropped_in += 1;
-            consumed = Some("datagram dropped");
-        } else if plan.reorder_window > 0
-            && plan.reorder_rate > 0.0
-            && dir.rng.gen_bool(plan.reorder_rate)
-        {
-            delta.reordered_in += 1;
-            let remaining = dir.rng.gen_range(1..=plan.reorder_window);
-            dir.held.push_back(HeldDatagram { bytes: buf[..len].to_vec(), peer, remaining });
-            consumed = Some("datagram held for reorder");
-        } else if plan.duplicate_rate > 0.0 && dir.rng.gen_bool(plan.duplicate_rate) {
-            delta.duplicated_in += 1;
-            dir.ready.push_back((buf[..len].to_vec(), peer));
-        }
-        if let Some(link) = link {
-            link.merge(&delta);
-        }
-        self.totals.add(&delta);
-        self.emit_inbound_faults(&delta, peer);
-        consumed
-    }
-
-    /// Receives one datagram without ever blocking or surfacing a
-    /// synthetic error — the edge-triggered drain-loop twin of
-    /// [`FaultySocket::recv_from`]. Requires the socket to be in
-    /// nonblocking mode (see [`FaultySocket::set_nonblocking`]).
-    ///
-    /// Returns `Ok(Some(..))` for a delivered datagram, `Ok(None)` when
-    /// the OS buffer is empty. When the fault plan consumes a datagram
-    /// (drop, reorder-hold) the loop keeps pulling, so a consumed
-    /// datagram can never mask ones still queued behind it — the hazard
-    /// the blocking API's synthetic `WouldBlock` poses to edge-triggered
-    /// callers, who would stop draining and strand OS-buffered traffic
-    /// until the next (never-coming) edge.
-    ///
-    /// Deliberately *not* part of this call: releasing reorder-held
-    /// datagrams. Blocking readers learn the link went idle from a read
-    /// timeout; a nonblocking reader has no timeout, so it must detect
-    /// idleness itself ([`FaultySocket::has_held_datagrams`]) and release
-    /// via [`FaultySocket::release_held`] on a timer.
-    ///
-    /// Delay faults still `thread::sleep` the caller — on a sharded
-    /// runtime that stalls a whole worker and every node on it. Prefer
-    /// drop/reorder/duplicate plans in sharded stress runs.
+    /// Returns `Ok(Some(..))` for a delivered datagram — an inbound hold
+    /// whose deadline has passed first, else the next one the plan lets
+    /// through — and `Ok(None)` when nothing is deliverable. When the
+    /// plan consumes a datagram (drop, hold) the call keeps pulling, so a
+    /// consumed datagram never masks ones still queued behind it in the
+    /// OS buffer: one drain to `None` is the whole edge-triggered
+    /// contract.
     ///
     /// # Errors
     ///
@@ -1117,18 +1112,23 @@ impl FaultySocket {
     pub fn try_recv_from(&self, buf: &mut [u8]) -> io::Result<Option<(usize, SocketAddr)>> {
         let mut state = self.recv.lock().expect("recv fault state poisoned");
         loop {
-            if let Some((bytes, peer)) = state.pop_ready() {
-                return Ok(Some(deliver(&bytes, peer, buf)));
+            let now = Instant::now();
+            if let Some(held) = state.pop_due(now) {
+                return Ok(Some(deliver(&held.bytes, held.peer, buf)));
             }
             match self.socket.recv_from(buf) {
                 Ok((len, peer)) => {
-                    if state.is_clean() || self.apply_inbound(&mut state, buf, len, peer).is_none()
-                    {
+                    if state.is_clean() {
                         return Ok(Some((len, peer)));
                     }
-                    // Consumed by the plan: loop — something due may have
-                    // aged onto a ready queue, and more datagrams may sit
-                    // in the OS buffer behind the one just eaten.
+                    let verdict = state.apply(&buf[..len], peer, now);
+                    self.record(&verdict, true, peer);
+                    if verdict.passes() {
+                        return Ok(Some((len, peer)));
+                    }
+                    // Consumed by the plan: loop — an overtaken hold may
+                    // have fallen due, and more datagrams may sit in the
+                    // OS buffer behind the one just eaten.
                 }
                 Err(e)
                     if e.kind() == io::ErrorKind::WouldBlock
@@ -1141,49 +1141,31 @@ impl FaultySocket {
         }
     }
 
-    /// Whether any datagram is parked inside the fault state — inbound
-    /// or outbound, held for reordering or already due. Nonblocking
-    /// callers poll this after a drain to decide whether to arm an
-    /// idle-release timer for [`FaultySocket::release_held`].
+    /// The earliest release deadline of any datagram held in either
+    /// direction, or `None` when nothing is held. A poll loop arms one
+    /// timer here, then calls [`FaultySocket::release_due`] and drains
+    /// [`FaultySocket::try_recv_from`].
     #[must_use]
-    pub fn has_held_datagrams(&self) -> bool {
-        let inbound = {
-            let state = self.recv.lock().expect("recv fault state poisoned");
-            let dirs =
-                std::iter::once(&state.default).chain(state.links.values().map(|link| &link.dir));
-            dirs.into_iter().any(|dir| !dir.held.is_empty() || !dir.ready.is_empty())
-        };
-        if inbound {
-            return true;
-        }
-        let state = self.send.lock().expect("send fault state poisoned");
-        !state.held.is_empty() || !state.ready.is_empty()
+    pub fn next_release(&self) -> Option<Instant> {
+        let inbound = self.recv.lock().expect("recv fault state poisoned").next_due();
+        let outbound = self.send.lock().expect("send fault state poisoned").next_due();
+        inbound.into_iter().chain(outbound).min()
     }
 
-    /// Declares the link idle: transmits every held outbound datagram
-    /// and moves every held inbound one onto its ready queue, where the
-    /// next [`FaultySocket::try_recv_from`] (or `recv_from`) delivers
-    /// it. The timer-driven equivalent of the read-timeout release in
-    /// [`FaultySocket::recv_from`] — reordering delays datagrams, it
-    /// never strands them, on either runtime.
-    pub fn release_held(&self) {
-        self.flush_held_send();
-        let mut state = self.recv.lock().expect("recv fault state poisoned");
-        let InboundState { default, links } = &mut *state;
-        let dirs = std::iter::once(default).chain(links.values_mut().map(|link| &mut link.dir));
-        for dir in dirs {
-            while let Some(held) = dir.held.pop_front() {
-                dir.ready.push_back((held.bytes, held.peer));
-            }
+    /// Transmits every outbound hold whose deadline is at or before
+    /// `now`. Inbound holds need no call: `try_recv_from` hands each one
+    /// out once its deadline has passed.
+    pub fn release_due(&self, now: Instant) {
+        let mut state = self.send.lock().expect("send fault state poisoned");
+        while let Some(held) = state.pop_due(now) {
+            let _ = self.socket.send_to(&held.bytes, held.peer);
         }
     }
 
     /// Moves the wrapped socket in or out of nonblocking mode.
     ///
     /// The flag lives on the OS file description, which clones share:
-    /// flipping it on any handle flips it for all of them. A socket
-    /// driven by a poll loop should be switched once, up front, and
-    /// never mixed with blocking readers.
+    /// flipping it on any handle flips it for all of them.
     ///
     /// # Errors
     ///
@@ -1199,38 +1181,19 @@ impl FaultySocket {
         self.socket.as_raw_fd()
     }
 
-    /// One [`TraceEvent::FaultInjected`] per fault a datagram from `peer`
-    /// just suffered.
-    fn emit_inbound_faults(&self, delta: &DatagramFaultCounters, peer: SocketAddr) {
-        if !self.tracer.is_enabled() {
-            return;
-        }
-        for (count, kind) in [
-            (delta.delayed_in, FaultKind::Delay),
-            (delta.dropped_in, FaultKind::Drop),
-            (delta.reordered_in, FaultKind::Reorder),
-            (delta.duplicated_in, FaultKind::Duplicate),
+    /// Tallies one datagram's faults and emits one
+    /// [`TraceEvent::FaultInjected`] per fault.
+    fn record(&self, verdict: &Verdict, inbound: bool, peer: SocketAddr) {
+        self.totals.add(&verdict.counters(inbound));
+        for (hit, kind) in [
+            (verdict.delayed, FaultKind::Delay),
+            (verdict.dropped, FaultKind::Drop),
+            (verdict.reordered, FaultKind::Reorder),
+            (verdict.duplicated, FaultKind::Duplicate),
         ] {
-            if count > 0 {
-                self.tracer.emit(|| TraceEvent::FaultInjected {
-                    kind,
-                    inbound: true,
-                    peer: Some(peer),
-                });
+            if hit {
+                self.tracer.emit(|| TraceEvent::FaultInjected { kind, inbound, peer: Some(peer) });
             }
-        }
-    }
-
-    /// Transmits everything the outbound reorder fault still holds, due
-    /// or not. Called when a reader observes an idle link and when a
-    /// handle drops, so held datagrams are delayed, never lost.
-    fn flush_held_send(&self) {
-        let Ok(mut state) = self.send.lock() else { return };
-        while let Some((bytes, peer)) = state.ready.pop_front() {
-            let _ = self.socket.send_to(&bytes, peer);
-        }
-        while let Some(held) = state.held.pop_front() {
-            let _ = self.socket.send_to(&held.bytes, held.peer);
         }
     }
 
@@ -1246,54 +1209,34 @@ impl FaultySocket {
         if state.plan.is_clean() {
             return self.socket.send_to(bytes, to);
         }
-        state.age_held();
-        while let Some((held, peer)) = state.ready.pop_front() {
-            let _ = self.socket.send_to(&held, peer);
+        let now = Instant::now();
+        let verdict = state.apply(bytes, to, now);
+        self.record(&verdict, false, to);
+        // Holds this datagram overtook, and a duplicate copy, go first.
+        while let Some(held) = state.pop_due(now) {
+            let _ = self.socket.send_to(&held.bytes, held.peer);
         }
-        let plan = state.plan;
-        if plan.delay_rate > 0.0 && state.rng.gen_bool(plan.delay_rate) {
-            self.totals.delayed_out.fetch_add(1, Ordering::Relaxed);
-            self.emit_outbound_fault(FaultKind::Delay, to);
-            thread::sleep(plan.delay);
+        if verdict.passes() {
+            self.socket.send_to(bytes, to)
+        } else {
+            Ok(bytes.len())
         }
-        if plan.drop_rate > 0.0 && state.rng.gen_bool(plan.drop_rate) {
-            self.totals.dropped_out.fetch_add(1, Ordering::Relaxed);
-            self.emit_outbound_fault(FaultKind::Drop, to);
-            return Ok(bytes.len());
-        }
-        if plan.reorder_window > 0
-            && plan.reorder_rate > 0.0
-            && state.rng.gen_bool(plan.reorder_rate)
-        {
-            self.totals.reordered_out.fetch_add(1, Ordering::Relaxed);
-            self.emit_outbound_fault(FaultKind::Reorder, to);
-            let remaining = state.rng.gen_range(1..=plan.reorder_window);
-            state.held.push_back(HeldDatagram { bytes: bytes.to_vec(), peer: to, remaining });
-            return Ok(bytes.len());
-        }
-        if plan.duplicate_rate > 0.0 && state.rng.gen_bool(plan.duplicate_rate) {
-            self.totals.duplicated_out.fetch_add(1, Ordering::Relaxed);
-            self.emit_outbound_fault(FaultKind::Duplicate, to);
-            let _ = self.socket.send_to(bytes, to);
-        }
-        self.socket.send_to(bytes, to)
-    }
-
-    fn emit_outbound_fault(&self, kind: FaultKind, to: SocketAddr) {
-        self.tracer.emit(|| TraceEvent::FaultInjected { kind, inbound: false, peer: Some(to) });
     }
 }
 
 impl Drop for FaultySocket {
     fn drop(&mut self) {
-        // Any handle dropping flushes held outbound datagrams (the queues
-        // are popped, so clones flushing too is harmless): reordering
-        // delays traffic, it never swallows it.
-        self.flush_held_send();
+        // Any handle dropping flushes every outbound hold, due or not
+        // (the queue is popped, so clones flushing too is harmless):
+        // faults make traffic late, they never swallow it.
+        let Ok(mut state) = self.send.lock() else { return };
+        while let Some(held) = state.held.pop_front() {
+            let _ = self.socket.send_to(&held.bytes, held.peer);
+        }
     }
 }
 
-/// Copies a stashed datagram out to the caller's buffer, truncating like
+/// Copies a held datagram out to the caller's buffer, truncating like
 /// UDP does when the buffer is too small.
 fn deliver(bytes: &[u8], peer: SocketAddr, buf: &mut [u8]) -> (usize, SocketAddr) {
     let len = bytes.len().min(buf.len());
@@ -1423,48 +1366,62 @@ mod tests {
 
     // ---- datagram faults ----
 
-    /// A bound faulty socket plus a plain sender aimed at it.
+    /// A bound nonblocking faulty socket plus a plain sender aimed at it.
     fn socket_pair(faults: DatagramFaults) -> (FaultySocket, UdpSocket, SocketAddr) {
         let inner = UdpSocket::bind("127.0.0.1:0").expect("bind receiver");
         let socket = FaultySocket::new(inner, faults).expect("wrap");
-        socket.set_read_timeout(Some(Duration::from_millis(40))).expect("timeout");
+        socket.set_nonblocking(true).expect("nonblocking");
         let sender = UdpSocket::bind("127.0.0.1:0").expect("bind sender");
         let to = socket.local_addr().expect("addr");
         (socket, sender, to)
     }
 
-    /// Sends `n` numbered datagrams, then drains the receiver until it
-    /// stays quiet, returning the delivered sequence numbers in order.
-    fn pump_datagrams(socket: &FaultySocket, sender: &UdpSocket, to: SocketAddr, n: u8) -> Vec<u8> {
+    /// Drains `socket.try_recv_from` until it reports nothing
+    /// deliverable, returning the delivered sequence numbers in order.
+    fn drain_nonblocking(socket: &FaultySocket) -> Vec<u8> {
+        let mut seen = Vec::new();
+        let mut buf = [0u8; 16];
+        while let Some((len, _)) = socket.try_recv_from(&mut buf).expect("try_recv") {
+            assert_eq!(len, 1, "unexpected datagram length");
+            seen.push(buf[0]);
+        }
+        seen
+    }
+
+    /// Drains the receiver the way a poll loop does — release what is
+    /// due, drain, wait a beat — until it stays quiet with nothing held,
+    /// returning the delivered sequence numbers in order.
+    fn drain_until_quiet(socket: &FaultySocket) -> Vec<u8> {
+        let mut seen = Vec::new();
+        let mut quiet = 0;
+        while quiet < 3 {
+            socket.release_due(Instant::now());
+            let got = drain_nonblocking(socket);
+            if got.is_empty() && socket.next_release().is_none() {
+                quiet += 1;
+            }
+            seen.extend(got);
+            thread::sleep(Duration::from_millis(10));
+        }
+        seen
+    }
+
+    fn send_numbered(sender: &UdpSocket, to: SocketAddr, n: u8) {
         for i in 0..n {
             sender.send_to(&[i], to).expect("send");
             // Loopback preserves order for a single sender; the tiny gap
             // keeps the receive path from coalescing visible timing.
             thread::sleep(Duration::from_micros(300));
         }
-        let mut seen = Vec::new();
-        let mut buf = [0u8; 16];
-        let mut quiet = 0;
-        while quiet < 3 {
-            let before = std::time::Instant::now();
-            match socket.recv_from(&mut buf) {
-                Ok((1, _)) => seen.push(buf[0]),
-                Ok(_) => panic!("unexpected datagram length"),
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    // A synthetic WouldBlock (drop, fresh hold) returns
-                    // instantly; only a real timeout means the link is
-                    // actually quiet.
-                    if before.elapsed() >= Duration::from_millis(30) {
-                        quiet += 1;
-                    }
-                }
-                Err(e) => panic!("recv failed: {e}"),
-            }
-        }
-        seen
+        // Give loopback delivery a beat so one drain sees everything.
+        thread::sleep(Duration::from_millis(5));
+    }
+
+    /// Sends `n` numbered datagrams, then drains the receiver until it
+    /// stays quiet, returning the delivered sequence numbers in order.
+    fn pump_datagrams(socket: &FaultySocket, sender: &UdpSocket, to: SocketAddr, n: u8) -> Vec<u8> {
+        send_numbered(sender, to, n);
+        drain_until_quiet(socket)
     }
 
     #[test]
@@ -1507,7 +1464,7 @@ mod tests {
         assert!(seen != (0..n).collect::<Vec<u8>>(), "something must be out of order");
         assert!(socket.fault_counters().reordered_in > 0);
         // Window bound: a datagram may be displaced by at most window + the
-        // ready-queue backlog; with window 4 a displacement of n would mean
+        // due-hold backlog; with window 4 a displacement of n would mean
         // a datagram was stranded until the end.
         for (position, &seq) in seen.iter().enumerate() {
             assert!(
@@ -1569,23 +1526,22 @@ mod tests {
         };
         let faults = DatagramFaults {
             inbound: DatagramFaultPlan::clean(7),
-            // Hold *every* send: without a flush path, stopping sending
+            // Hold *every* send: without a release path, stopping sending
             // would strand all of them.
             outbound: DatagramFaultPlan::clean(7).reorder(1.0, 8),
         };
 
-        // Case 1: the node's own reader observes an idle link → flush.
+        // Case 1: the link goes idle → the due holds are released.
         let socket =
             FaultySocket::new(UdpSocket::bind("127.0.0.1:0").expect("bind"), faults).expect("wrap");
-        socket.set_read_timeout(Some(Duration::from_millis(20))).expect("timeout");
         for i in 0..5u8 {
             socket.send_to(&[i], to).expect("send");
         }
-        let mut buf = [0u8; 16];
-        let _ = socket.recv_from(&mut buf); // times out → idle flush
-        assert_eq!(drain(), vec![0, 1, 2, 3, 4], "idle reader must flush held sends");
+        thread::sleep(RELEASE_DELAY);
+        socket.release_due(Instant::now());
+        assert_eq!(drain(), vec![0, 1, 2, 3, 4], "an idle link must release held sends");
 
-        // Case 2: no reader at all — dropping the handle flushes.
+        // Case 2: no release call at all — dropping the handle flushes.
         let socket =
             FaultySocket::new(UdpSocket::bind("127.0.0.1:0").expect("bind"), faults).expect("wrap");
         for i in 5..9u8 {
@@ -1607,22 +1563,11 @@ mod tests {
             DatagramFaultPlan::clean(12).drop_rate(1.0),
         );
 
-        let mut buf = [0u8; 16];
         for i in 0..6u8 {
             doomed.send_to(&[i], to).expect("send doomed");
             fine.send_to(&[0x40 + i], to).expect("send fine");
         }
-        let mut seen = Vec::new();
-        let mut quiet = 0;
-        while quiet < 3 {
-            let before = std::time::Instant::now();
-            match socket.recv_from(&mut buf) {
-                Ok((1, _)) => seen.push(buf[0]),
-                Ok(_) => panic!("unexpected datagram length"),
-                Err(_) if before.elapsed() >= Duration::from_millis(30) => quiet += 1,
-                Err(_) => {}
-            }
-        }
+        let mut seen = drain_until_quiet(&socket);
         seen.sort_unstable();
         assert_eq!(seen, (0x40..0x46).collect::<Vec<u8>>(), "only the clean link delivers");
 
@@ -1657,44 +1602,70 @@ mod tests {
         sender.send_to(&[1], to).expect("send");
         thread::sleep(Duration::from_millis(5));
         let mut buf = [0u8; 16];
-        assert!(clone.recv_from(&mut buf).is_err(), "clone drops too");
+        assert!(clone.try_recv_from(&mut buf).expect("try_recv").is_none(), "clone drops too");
         assert_eq!(socket.fault_counters().dropped_in, 1, "counters are shared");
     }
 
-    // ---- nonblocking / edge-triggered API ----
-
-    /// Drains `socket.try_recv_from` until it reports an empty buffer,
-    /// returning the delivered sequence numbers in order.
-    fn drain_nonblocking(socket: &FaultySocket) -> Vec<u8> {
-        let mut seen = Vec::new();
+    #[test]
+    fn delays_hold_one_datagram_until_its_deadline_without_blocking() {
+        // Every datagram delayed 150ms, in each direction. Neither call
+        // may block; nothing arrives early; everything arrives once due.
+        let delay = Duration::from_millis(150);
+        let plan = DatagramFaultPlan::clean(31).delay(1.0, delay);
+        let (socket, sender, to) = socket_pair(DatagramFaults::symmetric(plan));
+        let receiver = UdpSocket::bind("127.0.0.1:0").expect("bind receiver");
+        receiver.set_nonblocking(true).expect("nonblocking");
+        let far = receiver.local_addr().expect("addr");
+        let fast = Duration::from_millis(50);
         let mut buf = [0u8; 16];
-        while let Some((len, _)) = socket.try_recv_from(&mut buf).expect("try_recv") {
-            assert_eq!(len, 1, "unexpected datagram length");
-            seen.push(buf[0]);
+
+        sender.send_to(b"in", to).expect("send inbound");
+        thread::sleep(Duration::from_millis(5));
+        // The deadlines run from the moment the socket sees each datagram.
+        let pulled = Instant::now();
+        assert!(socket.try_recv_from(&mut buf).expect("try_recv").is_none(), "inbound held");
+        assert!(pulled.elapsed() < fast, "try_recv_from blocked on a delay");
+        let sent = Instant::now();
+        assert_eq!(socket.send_to(b"out", far).expect("send outbound"), 3);
+        assert!(sent.elapsed() < fast, "send_to blocked on a delay");
+
+        let mut inbound_at = None;
+        let mut outbound_at = None;
+        let give_up = Instant::now() + Duration::from_secs(5);
+        while (inbound_at.is_none() || outbound_at.is_none()) && Instant::now() < give_up {
+            if let Some(at) = socket.next_release() {
+                thread::sleep(at.saturating_duration_since(Instant::now()));
+            }
+            socket.release_due(Instant::now());
+            if let Some((len, _)) = socket.try_recv_from(&mut buf).expect("try_recv") {
+                assert_eq!(&buf[..len], b"in");
+                inbound_at = Some(Instant::now());
+            }
+            if let Ok((len, _)) = receiver.recv_from(&mut buf) {
+                assert_eq!(&buf[..len], b"out");
+                outbound_at = Some(Instant::now());
+            }
         }
-        seen
+        let inbound_at = inbound_at.expect("the delayed inbound datagram is released");
+        let outbound_at = outbound_at.expect("the delayed outbound datagram is released");
+        assert!(inbound_at >= pulled + delay, "inbound delivered before its deadline");
+        assert!(outbound_at >= sent + delay, "outbound released before its deadline");
+        assert!(socket.next_release().is_none(), "nothing left held");
+        let counters = socket.fault_counters();
+        assert_eq!(counters.delayed_in, 1);
+        assert_eq!(counters.delayed_out, 1);
     }
 
-    fn send_numbered(sender: &UdpSocket, to: SocketAddr, n: u8) {
-        for i in 0..n {
-            sender.send_to(&[i], to).expect("send");
-            thread::sleep(Duration::from_micros(300));
-        }
-        // Give loopback delivery a beat so one drain sees everything.
-        thread::sleep(Duration::from_millis(5));
-    }
+    // ---- edge-triggered draining ----
 
     #[test]
     fn try_recv_skips_past_consumed_datagrams_in_one_drain() {
-        // Regression for the edge-triggered hazard: the blocking API
-        // surfaces a *synthetic* WouldBlock when the plan eats a
-        // datagram. An ET caller treating that as "buffer empty" would
-        // stop draining and strand everything queued behind the drop
-        // until the next readiness edge — which never comes. The
-        // nonblocking API must keep pulling instead.
+        // Regression for the edge-triggered hazard: a caller that stops
+        // draining when the plan eats a datagram would strand everything
+        // queued behind the drop until the next readiness edge — which
+        // never comes. try_recv_from must keep pulling instead.
         let faults = DatagramFaults::inbound(DatagramFaultPlan::clean(21).drop_rate(0.4));
         let (socket, sender, to) = socket_pair(faults);
-        socket.set_nonblocking(true).expect("nonblocking");
         send_numbered(&sender, to, 30);
         let seen = drain_nonblocking(&socket);
         let dropped = socket.fault_counters().dropped_in as usize;
@@ -1705,27 +1676,27 @@ mod tests {
 
     #[test]
     fn idle_release_under_edge_triggered_polling() {
-        // Reorder-held datagrams have no read-timeout path to escape on
-        // a nonblocking socket: the caller must see them via
-        // has_held_datagrams() and free them with release_held().
+        // Reorder-held datagrams that nothing overtakes wait for their
+        // idle deadline: the caller sees it via next_release() and
+        // drains again once it has passed.
         let (socket, sender, to) = socket_pair(DatagramFaults::clean(22));
         socket.set_link_plan(
             sender.local_addr().expect("addr"),
             DatagramFaultPlan::clean(23).reorder(1.0, 8),
         );
-        socket.set_nonblocking(true).expect("nonblocking");
-        assert!(!socket.has_held_datagrams(), "nothing held before traffic");
+        assert!(socket.next_release().is_none(), "nothing held before traffic");
 
         send_numbered(&sender, to, 4);
         let seen = drain_nonblocking(&socket);
         assert!(seen.is_empty(), "an always-hold window of 8 parks all 4 datagrams");
-        assert!(socket.has_held_datagrams(), "the drain must leave the holds visible");
+        let due = socket.next_release().expect("the drain must leave the holds visible");
 
-        socket.release_held();
+        thread::sleep(due.saturating_duration_since(Instant::now()));
+        socket.release_due(Instant::now());
         let mut released = drain_nonblocking(&socket);
         released.sort_unstable();
         assert_eq!(released, (0..4).collect::<Vec<u8>>(), "release frees every held datagram");
-        assert!(!socket.has_held_datagrams());
+        assert!(socket.next_release().is_none());
     }
 
     #[test]
@@ -1740,9 +1711,9 @@ mod tests {
 
         let to = receiver.local_addr().expect("addr");
         socket.send_to(b"held", to).expect("send");
-        assert!(socket.has_held_datagrams(), "the datagram must be parked outbound");
-        socket.release_held();
-        assert!(!socket.has_held_datagrams());
+        let due = socket.next_release().expect("the datagram must be parked outbound");
+        socket.release_due(due);
+        assert!(socket.next_release().is_none());
         let mut buf = [0u8; 16];
         let (len, _) = receiver.recv_from(&mut buf).expect("released datagram arrives");
         assert_eq!(&buf[..len], b"held");
@@ -1751,14 +1722,14 @@ mod tests {
     #[test]
     fn nonblocking_flag_is_shared_across_clones() {
         // The O_NONBLOCK flag lives on the shared file description:
-        // flipping it via one handle must flip the clone too, which is
-        // why a poll-driven socket must never be mixed with blocking
-        // readers.
-        let (socket, _sender, _to) = socket_pair(DatagramFaults::clean(25));
+        // flipping it via one handle must flip the clone too.
+        let inner = UdpSocket::bind("127.0.0.1:0").expect("bind");
+        inner.set_read_timeout(Some(Duration::from_millis(40))).expect("timeout");
+        let socket = FaultySocket::new(inner, DatagramFaults::clean(25)).expect("wrap");
         let clone = socket.try_clone().expect("clone");
         socket.set_nonblocking(true).expect("nonblocking");
         let mut buf = [0u8; 16];
-        let start = std::time::Instant::now();
+        let start = Instant::now();
         assert!(clone.try_recv_from(&mut buf).expect("try_recv").is_none());
         assert!(
             start.elapsed() < Duration::from_millis(30),
@@ -1769,7 +1740,6 @@ mod tests {
     #[test]
     fn try_recv_matches_blocking_delivery_for_a_clean_plan() {
         let (socket, sender, to) = socket_pair(DatagramFaults::clean(26));
-        socket.set_nonblocking(true).expect("nonblocking");
         send_numbered(&sender, to, 12);
         assert_eq!(drain_nonblocking(&socket), (0..12).collect::<Vec<u8>>());
         assert_eq!(socket.fault_counters(), DatagramFaultCounters::default());

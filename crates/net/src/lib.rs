@@ -2,8 +2,8 @@
 //!
 //! The simulator (`ltnc-sim`) evaluates the paper's schemes in
 //! synchronized rounds inside one process. This crate runs the *same*
-//! [`ltnc_scheme::Scheme`] implementations over real UDP sockets between
-//! OS threads, making encoder → wire → socket → recoder → decoder an
+//! [`ltnc_scheme::Scheme`] implementations over real UDP sockets, every
+//! node driven by an `ltnc-reactor` worker thread, making encoder → wire → socket → recoder → decoder an
 //! end-to-end system rather than a simulation:
 //!
 //! * [`envelope`] — the versioned wire protocol: a 19-byte envelope
@@ -29,8 +29,8 @@
 //!   disconnect-at-byte-K), and [`faults::FaultySocket`] over UDP
 //!   (whole-datagram drop/duplicate/reorder/delay per direction), so
 //!   every transport test can run under adverse conditions reproducibly;
-//! * [`peer`] — the [`peer::PeerNode`] actor: bounded-queue backpressure,
-//!   loss-adaptive per-peer in-flight budgets (AIMD over feedback
+//! * [`peer`] — the per-node protocol and its standalone
+//!   [`peer::PeerNode`] handle: loss-adaptive per-peer in-flight budgets (AIMD over feedback
 //!   arrivals and offer timeouts), the aggressiveness gate for relays,
 //!   and graceful shutdown with full wire-level accounting
 //!   ([`ltnc_metrics::WireCounters`]);

@@ -1,19 +1,16 @@
-//! The peer actor: a scheme node behind a real UDP socket.
+//! The peer node: a scheme node behind a real UDP socket.
 //!
-//! The concurrency model is deliberately simple — blocking I/O on
-//! dedicated OS threads with bounded channels between them, not an async
-//! runtime (the build environment has no tokio; the sans-io codec and the
-//! actor structure port to one unchanged, see ROADMAP). Each [`PeerNode`]
-//! owns two OS threads:
-//!
-//! * the **socket thread** blocks on `recv_from` (with a short timeout so
-//!   shutdown is prompt) and forwards raw datagrams into a *bounded*
-//!   channel — when the actor falls behind, datagrams are dropped and
-//!   counted rather than buffered without bound (backpressure);
-//! * the **actor thread** owns all coding state ([`SourceSession`] /
-//!   [`ReceiverSession`]), processes inbound messages, and on every tick
-//!   pushes header-first transfer offers to randomly chosen peers, subject
-//!   to the aggressiveness gate and a per-peer in-flight budget.
+//! Every node is one `NodeStateMachine` owning all its coding state
+//! ([`SourceSession`] / [`ReceiverSession`]), driven by the callbacks of
+//! an `ltnc-reactor` worker (`crate::sharded`): its nonblocking socket is
+//! drained whenever it turns readable, its gossip tick is a reactor
+//! timer, and datagrams the fault layer holds back are released by a
+//! second timer. On every tick the node pushes header-first transfer
+//! offers to randomly chosen peers, subject to the aggressiveness gate
+//! and a per-peer in-flight budget. A swarm shards many nodes onto a few
+//! workers ([`crate::swarm::run_wired_swarm`]); a [`PeerNode`] is the
+//! standalone handle — one node on a reactor of its own, with a single
+//! worker thread.
 //!
 //! The in-flight budget is **loss-adaptive** by default (AIMD, with the
 //! asymmetry inverted relative to TCP because loss here is erasure, not
@@ -46,8 +43,10 @@
 //! [`NodeOptions::adaptive_ttl`] switches the derivation off.
 //!
 //! All traffic runs through a [`FaultySocket`], so seeded datagram
-//! loss/reordering ([`PeerNode::spawn_faulty`]) exercises the same code
-//! paths as a clean socket ([`PeerNode::spawn`]).
+//! loss/reordering/delay ([`PeerNode::spawn_faulty`]) exercises the same
+//! code paths as a clean socket ([`PeerNode::spawn`]). No fault blocks
+//! the node: a delay holds only the delayed datagram until its deadline,
+//! and later datagrams may overtake it.
 //!
 //! The transfer protocol mirrors the paper's binary feedback channel (see
 //! [`crate::envelope`]): `DATA-HEADER` offer → `FEEDBACK-ACCEPT`/`ABORT` →
@@ -61,15 +60,14 @@
 
 use std::collections::{HashMap, HashSet};
 use std::io;
-use std::net::{SocketAddr, UdpSocket};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
-use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use ltnc_gf2::EncodedPacket;
 use ltnc_metrics::{HopLatency, LogHistogramSnapshot, OpCounters, WireCounters};
+use ltnc_reactor::Reactor;
 use ltnc_scheme::SchemeParams;
 use ltnc_telemetry::{
     hop_latency_histograms, wire_samples, MetricsRegistry, ScrapeOptions, ScrapeServer, TimedEvent,
@@ -84,6 +82,7 @@ use crate::envelope::{
 };
 use crate::faults::{DatagramFaultCounters, DatagramFaultPlan, DatagramFaults, FaultySocket};
 use crate::generation::{ObjectManifest, ReceiverSession, SourceSession};
+use crate::sharded::ShardedNode;
 
 /// Smoothing factor of the per-peer loss EWMA (higher reacts faster).
 const LOSS_EWMA_ALPHA: f64 = 0.1;
@@ -152,8 +151,6 @@ pub struct NodeOptions {
     /// pacing budget) from its measured offer→feedback RTT. Off means the
     /// fixed [`NodeOptions::pending_ttl`] everywhere, as before PR 5.
     pub adaptive_ttl: bool,
-    /// Capacity of the bounded inbound datagram queue.
-    pub queue_capacity: usize,
     /// Seed of the node's deterministic RNG.
     pub seed: u64,
     /// When set, the node serves its live [`WireCounters`] (and injected
@@ -204,7 +201,6 @@ impl Default for NodeOptions {
             tick: Duration::from_millis(2),
             pending_ttl: Duration::from_millis(250),
             adaptive_ttl: true,
-            queue_capacity: 1024,
             seed: 0xC0DE,
             metrics_bind: None,
         }
@@ -279,19 +275,12 @@ pub struct PeerReport {
     pub latency_by_hop: Vec<(usize, LogHistogramSnapshot)>,
 }
 
-enum Control {
-    SetPeers(Vec<SocketAddr>),
-    Shutdown,
-}
-
-/// State a node publishes for observers outside its own dispatch
-/// context — the `PeerNode` handle and scrape endpoint on the threaded
-/// runtime, the swarm driver's completion poll on the sharded one.
+/// State a node publishes for observers outside its reactor worker —
+/// the [`PeerNode`] handle, the scrape endpoints, and the swarm driver's
+/// completion poll and stall watchdog.
 pub(crate) struct Shared {
     pub(crate) complete: AtomicBool,
     pub(crate) complete_generations: AtomicUsize,
-    pub(crate) inbound_dropped: AtomicU64,
-    pub(crate) stop: AtomicBool,
     /// Live mirror of the state machine's [`WireCounters`], refreshed
     /// once per gossip tick — only when a metrics endpoint is attached
     /// ([`NodeOptions::metrics_bind`]); never touched otherwise.
@@ -302,8 +291,8 @@ pub(crate) struct Shared {
     pub(crate) latency: HopLatency,
     /// Total innovative (rank-increasing) symbols decoded so far, bumped
     /// on every useful delivery. Always maintained — it is one relaxed
-    /// add — because the sharded runtime's stall watchdog uses it as its
-    /// progress signal even when no metrics endpoint is attached.
+    /// add — because the swarm's stall watchdog uses it as its progress
+    /// signal even when no metrics endpoint is attached.
     pub(crate) decoded_rank: AtomicU64,
     /// Per-generation decoder rank mirror (useful symbols accumulated
     /// per generation), refreshed once per gossip tick alongside the
@@ -317,8 +306,6 @@ impl Shared {
         Shared {
             complete: AtomicBool::new(false),
             complete_generations: AtomicUsize::new(0),
-            inbound_dropped: AtomicU64::new(0),
-            stop: AtomicBool::new(false),
             wire: Mutex::new(WireCounters::new()),
             latency: HopLatency::new(),
             decoded_rank: AtomicU64::new(0),
@@ -332,31 +319,28 @@ impl Shared {
         self.decoder.lock().map(|ranks| ranks.clone()).unwrap_or_default()
     }
 
-    /// The published wire counters plus the socket thread's drop count.
+    /// The wire counters as last published.
     pub(crate) fn wire_snapshot(&self) -> WireCounters {
-        let mut wire = self.wire.lock().map(|wire| *wire).unwrap_or_default();
-        wire.inbound_dropped += self.inbound_dropped.load(Ordering::Acquire);
-        wire
+        self.wire.lock().map(|wire| *wire).unwrap_or_default()
     }
 }
 
-/// Handle to a running peer actor.
+/// Handle to a running peer node: one `NodeStateMachine` on a
+/// single-worker reactor of its own.
 pub struct PeerNode {
     local_addr: SocketAddr,
-    /// A handle onto the node's socket sharing the threads' fault state,
-    /// kept so link plans can be installed after spawn (addresses are
-    /// only known once every node of a topology is bound).
+    /// A handle onto the node's socket sharing its fault state, kept so
+    /// link plans can be installed after spawn (addresses are only known
+    /// once every node of a topology is bound).
     socket: FaultySocket,
-    control: mpsc::Sender<Control>,
     shared: Arc<Shared>,
-    actor: JoinHandle<PeerReport>,
-    socket_thread: JoinHandle<()>,
-    scrape: Option<ScrapeServer>,
+    metrics_addr: Option<SocketAddr>,
+    reactor: Reactor<ShardedNode>,
 }
 
 impl PeerNode {
     /// Binds a UDP socket on `bind` (use port 0 for an ephemeral port) and
-    /// spawns the socket and actor threads. The node stays quiet until
+    /// starts the node's reactor worker. The node stays quiet until
     /// [`PeerNode::set_peers`] wires it into the swarm.
     ///
     /// # Errors
@@ -380,45 +364,13 @@ impl PeerNode {
         config: NodeConfig,
         faults: DatagramFaults,
     ) -> io::Result<PeerNode> {
-        let tracer = Tracer::from_option(config.trace.clone());
-        let socket = FaultySocket::with_tracer(UdpSocket::bind(bind)?, faults, tracer)?;
-        socket.set_read_timeout(Some(Duration::from_millis(20)))?;
-        let local_addr = socket.local_addr()?;
-
-        let shared = Arc::new(Shared::new());
-        // A source is complete by definition; publish that before the
-        // actor thread even starts so the handle never reports a stale
-        // "incomplete" for it.
-        publish_source_complete(&config.role, &shared);
-
-        let (event_tx, event_rx) = mpsc::sync_channel(config.options.queue_capacity.max(1));
-        let (control_tx, control_rx) = mpsc::channel();
-
-        let socket_thread = {
-            let socket = socket.try_clone()?;
-            let shared = Arc::clone(&shared);
-            thread::spawn(move || socket_loop(&socket, &event_tx, &shared))
-        };
-
-        let scrape = spawn_scrape(&config.options, local_addr, &shared, &socket)?;
-
-        let handle = socket.try_clone()?;
-        let actor = {
-            let shared = Arc::clone(&shared);
-            thread::spawn(move || {
-                NodeStateMachine::new(socket, config, shared).run(&event_rx, &control_rx)
-            })
-        };
-
-        Ok(PeerNode {
-            local_addr,
-            socket: handle,
-            control: control_tx,
-            shared,
-            actor,
-            socket_thread,
-            scrape,
-        })
+        let node = ShardedNode::bind(bind, config, faults)?;
+        let local_addr = node.local_addr();
+        let socket = node.socket().try_clone()?;
+        let shared = node.shared();
+        let metrics_addr = node.metrics_addr();
+        let reactor = Reactor::start(vec![node], 1)?;
+        Ok(PeerNode { local_addr, socket, shared, metrics_addr, reactor })
     }
 
     /// Installs a dedicated inbound fault plan for datagrams arriving
@@ -436,15 +388,9 @@ impl PeerNode {
         self.local_addr
     }
 
-    /// A handle onto the node's published shared state — what the
-    /// swarm-wide aggregated registry samples.
-    pub(crate) fn shared(node: &PeerNode) -> Arc<Shared> {
-        Arc::clone(&node.shared)
-    }
-
     /// Wires the node into the swarm and starts its gossip ticks.
     pub fn set_peers(&self, peers: Vec<SocketAddr>) {
-        let _ = self.control.send(Control::SetPeers(peers));
+        self.reactor.send(0, peers);
     }
 
     /// Whether the node has decoded every generation (sources report
@@ -461,8 +407,8 @@ impl PeerNode {
     }
 
     /// The node's live wire counters, as published once per gossip tick.
-    /// Only meaningful with [`NodeOptions::metrics_bind`] set (the actor
-    /// skips the mirror otherwise and this returns zeros until shutdown).
+    /// Only meaningful with [`NodeOptions::metrics_bind`] set (the node
+    /// skips the mirror otherwise and this returns zeros).
     #[must_use]
     pub fn counters(&self) -> WireCounters {
         self.shared.wire_snapshot()
@@ -473,26 +419,18 @@ impl PeerNode {
     /// when [`NodeOptions::metrics_bind`] was not set.
     #[must_use]
     pub fn metrics_addr(&self) -> Option<SocketAddr> {
-        self.scrape.as_ref().map(ScrapeServer::local_addr)
+        self.metrics_addr
     }
 
-    /// Graceful shutdown: stops gossiping, joins both threads and returns
-    /// the final report.
+    /// Graceful shutdown: stops the node's worker after a final drain of
+    /// its socket and returns the final report.
     ///
     /// # Panics
     ///
-    /// Panics if an internal thread panicked.
+    /// Panics if the node's worker thread panicked.
     #[must_use]
     pub fn shutdown(self) -> PeerReport {
-        let _ = self.control.send(Control::Shutdown);
-        self.shared.stop.store(true, Ordering::Release);
-        let mut report = self.actor.join().expect("actor thread panicked");
-        self.socket_thread.join().expect("socket thread panicked");
-        if let Some(scrape) = self.scrape {
-            scrape.shutdown();
-        }
-        report.wire.inbound_dropped += self.shared.inbound_dropped.load(Ordering::Acquire);
-        report
+        self.reactor.shutdown().pop().expect("the reactor runs exactly one node")
     }
 }
 
@@ -511,22 +449,11 @@ fn fault_samples(c: &DatagramFaultCounters) -> Vec<ltnc_telemetry::Sample> {
     ]
 }
 
-/// Publishes a source's by-definition completion on `shared` before any
-/// runtime drives its state machine, so completion observers never see a
-/// stale "incomplete" for it. A no-op for receivers.
-pub(crate) fn publish_source_complete(role: &NodeRole, shared: &Shared) {
-    if let NodeRole::Source { object, params } = role {
-        let manifest = ObjectManifest { object_len: object.len() as u64, params: *params };
-        shared.complete.store(true, Ordering::Release);
-        shared.complete_generations.store(manifest.generation_count() as usize, Ordering::Release);
-    }
-}
-
 /// Spawns the node's metrics scrape endpoint when
 /// [`NodeOptions::metrics_bind`] is set. The endpoint reads the shared
 /// live mirror (refreshed per tick by the state machine) and the
 /// socket's fault totals — it never touches state-machine state
-/// directly, which is what lets both runtimes share it.
+/// directly.
 pub(crate) fn spawn_scrape(
     options: &NodeOptions,
     local_addr: SocketAddr,
@@ -545,36 +472,6 @@ pub(crate) fn spawn_scrape(
     let fault_handle = socket.try_clone()?;
     registry.register("faults", &node_label, move || fault_samples(&fault_handle.fault_counters()));
     Ok(Some(ScrapeServer::spawn(addr, registry, ScrapeOptions::default())?))
-}
-
-fn socket_loop(socket: &FaultySocket, events: &SyncSender<(Vec<u8>, SocketAddr)>, shared: &Shared) {
-    // 64 KiB: the largest datagram UDP can carry; frames are validated by
-    // the codec, not by the read size.
-    let mut buf = vec![0u8; 64 * 1024];
-    while !shared.stop.load(Ordering::Acquire) {
-        match socket.recv_from(&mut buf) {
-            Ok((len, from)) => {
-                match events.try_send((buf[..len].to_vec(), from)) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(_)) => {
-                        // Bounded queue: the actor is behind. Dropping the
-                        // datagram (and counting it) is the backpressure —
-                        // the epidemic redundancy absorbs the loss.
-                        shared.inbound_dropped.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(TrySendError::Disconnected(_)) => return,
-                }
-            }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {
-            }
-            Err(_) => {
-                // Transient socket errors (e.g. ICMP port-unreachable
-                // surfacing as ECONNREFUSED on some platforms) are not
-                // fatal for a datagram listener.
-            }
-        }
-    }
 }
 
 struct PendingTransfer {
@@ -607,13 +504,11 @@ struct PeerPacing {
     last_cut: Option<Instant>,
 }
 
-/// The runtime-agnostic protocol core of one node: every recv, tick and
-/// peer-wiring transition lives here, behind a poll-style surface
+/// The protocol core of one node: every recv, tick and peer-wiring
+/// transition lives here, behind a poll-style surface
 /// ([`NodeStateMachine::handle_datagram`], [`NodeStateMachine::tick`],
-/// [`NodeStateMachine::set_peers`]). The threaded runtime drives it from
-/// a dedicated thread ([`NodeStateMachine::run`]); the sharded runtime
-/// (`crate::sharded`) drives the same type from reactor callbacks — one
-/// protocol implementation, two schedulers.
+/// [`NodeStateMachine::set_peers`]) that the reactor adapter in
+/// `crate::sharded` drives from its callbacks.
 pub(crate) struct NodeStateMachine {
     socket: FaultySocket,
     session: u64,
@@ -623,7 +518,6 @@ pub(crate) struct NodeStateMachine {
     receiver: Option<ReceiverSession>,
     generation_count: u32,
     peers: Vec<SocketAddr>,
-    started: bool,
     rng: SmallRng,
     next_transfer: u64,
     pending: HashMap<u64, PendingTransfer>,
@@ -639,7 +533,6 @@ pub(crate) struct NodeStateMachine {
     lineage: HashMap<u32, TraceContext>,
     wire: WireCounters,
     shared: Arc<Shared>,
-    shutdown: bool,
     tracer: Tracer,
     /// Refresh the shared wire mirror each tick (only when a metrics
     /// endpoint reads it — the mirror costs nothing otherwise).
@@ -656,9 +549,14 @@ impl NodeStateMachine {
         let publish_live = config.options.metrics_bind.is_some() || config.publish_live;
         let (params, source, receiver) = match config.role {
             NodeRole::Source { object, params } => {
-                // Completion state for sources is already published by
-                // PeerNode::spawn, before this thread existed.
+                // A source is complete by definition: publish that before
+                // anything drives the node, so completion observers never
+                // see a stale "incomplete" for it.
                 let source = SourceSession::new(&object, params);
+                shared.complete.store(true, Ordering::Release);
+                shared
+                    .complete_generations
+                    .store(source.manifest().generation_count() as usize, Ordering::Release);
                 (params, Some(source), None)
             }
             NodeRole::Peer { manifest } => {
@@ -679,7 +577,6 @@ impl NodeStateMachine {
             receiver,
             generation_count,
             peers: Vec::new(),
-            started: false,
             rng: SmallRng::seed_from_u64(config.options.seed),
             next_transfer: 1,
             pending: HashMap::new(),
@@ -691,52 +588,20 @@ impl NodeStateMachine {
             lineage: HashMap::new(),
             wire: WireCounters::new(),
             shared,
-            shutdown: false,
             tracer,
             publish_live,
         }
     }
 
-    /// Wires the node into the swarm and starts its gossip ticks — the
-    /// starting gun, however the state machine is scheduled.
+    /// Wires the node into the swarm: its ticks push to `peers` from now
+    /// on.
     pub(crate) fn set_peers(&mut self, peers: Vec<SocketAddr>) {
         self.peers = peers;
-        self.started = true;
     }
 
-    /// The threaded-runtime adapter: blocks on the socket thread's event
-    /// queue, polls the control channel, and self-paces ticks — exactly
-    /// the dedicated-thread loop `PeerNode` has always run, now a thin
-    /// shell over the same state machine the sharded runtime drives.
-    fn run(
-        mut self,
-        events: &Receiver<(Vec<u8>, SocketAddr)>,
-        control: &Receiver<Control>,
-    ) -> PeerReport {
-        let mut last_tick = Instant::now();
-        loop {
-            while let Ok(message) = control.try_recv() {
-                match message {
-                    Control::SetPeers(peers) => self.set_peers(peers),
-                    Control::Shutdown => self.shutdown = true,
-                }
-            }
-            if self.shutdown {
-                break;
-            }
-
-            match events.recv_timeout(self.options.tick) {
-                Ok((bytes, from)) => self.handle_datagram(&bytes, from),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-
-            if self.started && last_tick.elapsed() >= self.options.tick {
-                last_tick = Instant::now();
-                self.tick();
-            }
-        }
-        self.into_report()
+    /// The node's socket, shared with the reactor adapter that drains it.
+    pub(crate) fn socket(&self) -> &FaultySocket {
+        &self.socket
     }
 
     /// Final accounting; consumes the state machine.
@@ -1194,6 +1059,8 @@ impl NodeStateMachine {
 mod tests {
     use super::*;
     use ltnc_scheme::SchemeKind;
+    use std::net::UdpSocket;
+    use std::thread;
 
     fn loopback() -> SocketAddr {
         "127.0.0.1:0".parse().expect("valid addr")
@@ -1347,8 +1214,8 @@ mod tests {
         let _ = source.shutdown();
     }
 
-    /// A source actor driven directly (no threads) to unit-test the
-    /// pacing state machine.
+    /// A source state machine driven directly (no reactor) to unit-test
+    /// the pacing logic.
     fn pacing_actor(options: NodeOptions) -> NodeStateMachine {
         let params = SchemeParams::new(SchemeKind::Rlnc, 4, 2);
         let socket = crate::faults::FaultySocket::new(

@@ -1,8 +1,9 @@
 //! Localhost swarm orchestration: one source, N peers, real UDP.
 //!
 //! This is the harness both the integration tests and the
-//! `file_dissemination_udp` example drive: it spawns every node on an
-//! ephemeral `127.0.0.1` port, wires the peer lists, waits for
+//! `file_dissemination_udp` example drive: it binds every node on an
+//! ephemeral `127.0.0.1` port, wires the peer lists, shards the nodes
+//! onto [`SwarmConfig::runtime`]'s reactor workers, waits for
 //! convergence, shuts everything down gracefully and verifies the
 //! reconstruction bit for bit.
 //!
@@ -26,18 +27,21 @@
 use std::io;
 use std::net::SocketAddr;
 use std::path::PathBuf;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use ltnc_metrics::{ReactorSnapshot, WireCounters};
+use ltnc_reactor::Reactor;
 use ltnc_scheme::{SchemeKind, SchemeParams};
 use ltnc_telemetry::{RingSink, ScrapeOptions, ScrapeServer};
 
 use crate::faults::{DatagramFaultCounters, DatagramFaultPlan, DatagramFaults};
 use crate::generation::split_object;
-use crate::observe::swarm_registry;
-use crate::peer::{NodeConfig, NodeOptions, NodeRole, PeerNode, PeerReport};
+use crate::observe::{swarm_registry, FlightState, SwarmTelemetry};
+use crate::peer::{NodeConfig, NodeOptions, NodeRole, PeerReport, Shared};
+use crate::sharded::ShardedNode;
 
 /// Parameters of one localhost dissemination run.
 #[derive(Debug, Clone)]
@@ -68,29 +72,25 @@ pub struct SwarmConfig {
     /// [`PeerReport::events`] at shutdown. `None` (the default) installs
     /// no sink — every trace hook stays a no-op.
     pub trace_capacity: Option<usize>,
-    /// Which scheduler runs the nodes. Both runtimes drive the same
-    /// protocol state machine, harness, fault plans and counters; see
-    /// [`SwarmRuntime`] for the trade-off.
+    /// How many reactor workers run the nodes (see [`SwarmRuntime`]).
     pub runtime: SwarmRuntime,
     /// When set, the whole swarm serves *one* aggregated scrape endpoint
     /// bound here (`/metrics`, `/metrics.json`, and `/flight` when the
     /// flight recorder is on): rolled-up wire counters, merged
-    /// hop-latency histograms, decoder-progress gauges, and — on the
-    /// sharded runtime — per-shard `reactor` scheduler families. The
-    /// scalable alternative to a [`NodeOptions::metrics_bind`] listener
-    /// per node. Port 0 picks a free port. `None` (the default) serves
-    /// nothing.
+    /// hop-latency histograms, decoder-progress gauges, and per-shard
+    /// `reactor` scheduler families. The scalable alternative to a
+    /// [`NodeOptions::metrics_bind`] listener per node. Port 0 picks a
+    /// free port. `None` (the default) serves nothing.
     pub metrics_bind: Option<SocketAddr>,
-    /// When set, the sharded runtime runs a stall watchdog and keeps a
-    /// bounded per-shard flight ring of scheduler trace events, dumping
-    /// a JSON post-mortem on stall, shutdown timeout, or on demand (the
+    /// When set, the swarm runs a stall watchdog and keeps a bounded
+    /// per-shard flight ring of scheduler trace events, dumping a JSON
+    /// post-mortem on stall, shutdown timeout, or on demand (the
     /// endpoint's `/flight` route). `None` (the default) records
-    /// nothing. Ignored by the threaded runtime, which has no shards to
-    /// watch.
+    /// nothing.
     pub flight_recorder: Option<FlightRecorder>,
 }
 
-/// Configuration of the sharded runtime's flight recorder
+/// Configuration of the swarm's flight recorder
 /// ([`SwarmConfig::flight_recorder`]).
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
@@ -114,25 +114,23 @@ impl Default for FlightRecorder {
     }
 }
 
-/// Which scheduler runs a swarm's node state machines.
-///
-/// Both runtimes share one protocol implementation
-/// (`crate::peer::NodeStateMachine`); the choice is purely how it gets
-/// scheduled, so reports are comparable across runtimes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// How a swarm's node state machines are scheduled: every node
+/// multiplexed onto `workers` poll-driven `ltnc-reactor` worker threads —
+/// what makes 1000-node swarms practical on one machine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SwarmRuntime {
-    /// Two dedicated OS threads per node (blocking socket reader +
-    /// actor) — the original runtime, comfortable into the hundreds of
-    /// in-process nodes.
-    #[default]
-    Threaded,
-    /// The `ltnc-reactor` epoll runtime: every node multiplexed onto
-    /// `workers` poll-driven worker threads — what makes 1000-node
-    /// swarms practical on one machine.
+    /// The `ltnc-reactor` epoll runtime.
     Sharded {
         /// Worker threads to shard the nodes across (clamped to ≥ 1).
         workers: usize,
     },
+}
+
+impl Default for SwarmRuntime {
+    /// One worker per available core.
+    fn default() -> SwarmRuntime {
+        SwarmRuntime::Sharded { workers: thread::available_parallelism().map_or(1, usize::from) }
+    }
 }
 
 impl SwarmConfig {
@@ -150,7 +148,7 @@ impl SwarmConfig {
             session: 0x5E55_1011,
             faults: None,
             trace_capacity: None,
-            runtime: SwarmRuntime::Threaded,
+            runtime: SwarmRuntime::default(),
             metrics_bind: None,
             flight_recorder: None,
         }
@@ -171,8 +169,8 @@ pub struct SwarmWiring {
     /// indices in range.
     pub push_targets: Vec<Vec<usize>>,
     /// Per-directed-link fault plans `(from, to, plan)`: installed on
-    /// `to`'s socket keyed by `from`'s address
-    /// ([`PeerNode::set_link_faults`]), shadowing `to`'s default inbound
+    /// `to`'s socket keyed by `from`'s address (like
+    /// [`crate::PeerNode::set_link_faults`]), shadowing `to`'s default inbound
     /// plan for datagrams from `from` — and tallied per link in
     /// [`PeerReport::link_faults`].
     pub link_faults: Vec<(usize, usize, DatagramFaultPlan)>,
@@ -244,8 +242,7 @@ pub struct SwarmReport {
     /// `peer_reports[i - 1]`).
     pub peer_reports: Vec<PeerReport>,
     /// Final per-shard reactor scheduler snapshots, shard-indexed —
-    /// populated only by the sharded runtime when
-    /// [`SwarmConfig::metrics_bind`] or
+    /// populated only when [`SwarmConfig::metrics_bind`] or
     /// [`SwarmConfig::flight_recorder`] asked for instrumentation
     /// (empty otherwise: the observer seam stays uninstalled and the
     /// hot loops take no clock readings).
@@ -305,9 +302,8 @@ pub fn run_wired_swarm(config: &SwarmConfig, wiring: &SwarmWiring) -> io::Result
     assert!(config.peers > 0, "a swarm needs at least one peer");
     let node_count = config.peers + 1;
     wiring.validate(node_count);
-    if let SwarmRuntime::Sharded { workers } = config.runtime {
-        return crate::sharded::run_sharded(config, wiring, workers.max(1));
-    }
+    let SwarmRuntime::Sharded { workers } = config.runtime;
+    let workers = workers.max(1);
     let params = SchemeParams::new(config.scheme, config.code_length, config.payload_size);
     let manifest = split_object(&config.object, params).0;
     let bind: SocketAddr = "127.0.0.1:0".parse().expect("valid address");
@@ -319,7 +315,7 @@ pub fn run_wired_swarm(config: &SwarmConfig, wiring: &SwarmWiring) -> io::Result
         None => DatagramFaults::clean(config.options.seed ^ index),
     };
 
-    let mut nodes: Vec<PeerNode> = Vec::with_capacity(node_count);
+    let mut nodes: Vec<ShardedNode> = Vec::with_capacity(node_count);
     // One bounded ring per node when tracing is on; drained into each
     // node's report after shutdown.
     let mut sinks: Vec<Option<Arc<RingSink>>> = Vec::with_capacity(node_count);
@@ -342,84 +338,159 @@ pub fn run_wired_swarm(config: &SwarmConfig, wiring: &SwarmWiring) -> io::Result
         // The aggregated endpoint reads every node's live mirror, so
         // the per-tick refresh must run even without per-node endpoints.
         node_config.publish_live = config.metrics_bind.is_some();
-        let spawned = PeerNode::spawn_faulty(bind, node_config, node_faults(i as u64));
-        match spawned {
-            Ok(node) => nodes.push(node),
-            Err(e) => {
-                // Tear down everything already running: leaked nodes would
-                // keep their socket and actor threads spinning for the
-                // rest of the process.
-                for node in nodes {
-                    let _ = node.shutdown();
-                }
-                return Err(e);
-            }
-        }
+        // An early `?` here drops the nodes built so far; their
+        // ScrapeServers stop on drop, and no reactor threads exist yet.
+        nodes.push(ShardedNode::bind(bind, node_config, node_faults(i as u64))?);
     }
+    let node_addrs: Vec<SocketAddr> = nodes.iter().map(ShardedNode::local_addr).collect();
+    let completion: Vec<Arc<Shared>> = nodes.iter().map(ShardedNode::shared).collect();
 
-    let node_addrs: Vec<SocketAddr> = nodes.iter().map(PeerNode::local_addr).collect();
-    // Link plans go in before any node starts gossiping (set_peers is the
-    // starting gun): a plan landing after the first offers would let
-    // early datagrams cross the link un-faulted, breaking both partition
-    // wirings and the replay-by-seed guarantee.
+    // Link plans and peer wiring both go in before the reactor exists —
+    // no state machine runs until Reactor::start, so there is no window
+    // where early datagrams cross a link un-faulted.
     for &(from, to, plan) in &wiring.link_faults {
-        nodes[to].set_link_faults(node_addrs[from], plan);
+        nodes[to].socket().set_link_plan(node_addrs[from], plan);
     }
-    for (i, node) in nodes.iter().enumerate() {
-        let targets: Vec<SocketAddr> =
-            wiring.push_targets[i].iter().map(|&j| node_addrs[j]).collect();
-        node.set_peers(targets);
+    for (i, node) in nodes.iter_mut().enumerate() {
+        node.set_peers(wiring.push_targets[i].iter().map(|&j| node_addrs[j]).collect());
     }
 
-    // The swarm-wide aggregated endpoint (the sharded runtime spawns its
-    // own richer one, with reactor families and the flight route).
+    // Instrumentation is opt-in: with neither the aggregated endpoint
+    // nor the flight recorder requested, no observer is installed and
+    // the reactor's hot loops take zero extra clock readings.
+    let telemetry =
+        (config.metrics_bind.is_some() || config.flight_recorder.is_some()).then(|| {
+            let capacity = config.flight_recorder.as_ref().map(|recorder| recorder.capacity);
+            let telemetry = Arc::new(SwarmTelemetry::new(workers, capacity));
+            telemetry.set_node_counts(node_count);
+            telemetry
+        });
+
+    let started = Instant::now();
+    let flight: Option<(FlightRecorder, FlightState)> =
+        config.flight_recorder.as_ref().zip(telemetry.as_ref()).map(|(recorder, telemetry)| {
+            let state = FlightState {
+                started,
+                telemetry: Arc::clone(telemetry),
+                completion: completion.clone(),
+                stall_window: recorder.stall_window,
+            };
+            (recorder.clone(), state)
+        });
+
+    // The swarm-wide endpoint goes up before the reactor so an early
+    // start failure tears it down by drop; sampling an idle registry is
+    // harmless.
     let scrape = match config.metrics_bind {
         Some(addr) => {
-            let completion: Vec<_> = nodes.iter().map(PeerNode::shared).collect();
-            let registry = Arc::new(swarm_registry(&completion, manifest.generation_count(), None));
-            match ScrapeServer::spawn(addr, registry, ScrapeOptions::default()) {
-                Ok(scrape) => Some(scrape),
-                Err(e) => {
-                    for node in nodes {
-                        let _ = node.shutdown();
-                    }
-                    return Err(e);
+            let telemetry = telemetry.as_deref().expect("metrics_bind installs the telemetry");
+            let registry =
+                Arc::new(swarm_registry(&completion, manifest.generation_count(), telemetry));
+            let spawned = match &flight {
+                Some((_, state)) => {
+                    let state = state.clone();
+                    ScrapeServer::spawn_with_flight(
+                        addr,
+                        registry,
+                        ScrapeOptions::default(),
+                        Arc::new(move || state.dump("demand", None)),
+                    )
                 }
-            }
+                None => ScrapeServer::spawn(addr, registry, ScrapeOptions::default()),
+            };
+            Some(spawned?)
         }
         None => None,
     };
 
-    let started = Instant::now();
+    let observer = telemetry.clone().map(|telemetry| telemetry as _);
+    let reactor = Reactor::start_observed(nodes, workers, observer)?;
+
+    // Completion poll doubling as the stall watchdog: the progress
+    // signal is monotone (innovative symbols decoded + generations
+    // completed, swarm-wide), so "unchanged for a whole stall window"
+    // means no receiver advanced at all — cut a post-mortem once per
+    // stall episode, and re-arm if progress ever resumes.
+    let mut flight_dump: Option<String> = None;
+    let progress_signal = |completion: &[Arc<Shared>]| -> u64 {
+        completion[1..]
+            .iter()
+            .map(|shared| {
+                shared.decoded_rank.load(Ordering::Relaxed)
+                    + shared.complete_generations.load(Ordering::Acquire) as u64
+            })
+            .sum()
+    };
+    let mut last_progress = progress_signal(&completion);
+    let mut last_change = Instant::now();
+    let mut stalled = false;
     let deadline = started + config.timeout;
-    while nodes[1..].iter().any(|p| !p.is_complete()) && Instant::now() < deadline {
+    while completion[1..].iter().any(|shared| !shared.complete.load(Ordering::Acquire))
+        && Instant::now() < deadline
+    {
         thread::sleep(Duration::from_millis(5));
+        let Some((recorder, state)) = &flight else { continue };
+        let signal = progress_signal(&completion);
+        if signal != last_progress {
+            last_progress = signal;
+            last_change = Instant::now();
+            stalled = false;
+        } else if !stalled && last_change.elapsed() >= recorder.stall_window {
+            stalled = true;
+            let idle = last_change.elapsed();
+            state.telemetry.note_stall(idle);
+            let dump = state.dump("stall", Some(idle));
+            write_dump(recorder, &dump);
+            flight_dump = Some(dump);
+        }
     }
     let elapsed = started.elapsed();
-    if let Some(scrape) = scrape {
-        scrape.shutdown();
+
+    if completion[1..].iter().any(|shared| !shared.complete.load(Ordering::Acquire)) {
+        if let Some((recorder, state)) = &flight {
+            let dump = state.dump("shutdown_timeout", None);
+            write_dump(recorder, &dump);
+            flight_dump = Some(dump);
+        }
     }
 
-    let reports = nodes
+    // Shutdown returns reports in original node order; pair each with
+    // its trace sink.
+    let reports: Vec<PeerReport> = reactor
+        .shutdown()
         .into_iter()
         .zip(sinks)
-        .map(|(node, sink)| {
-            let mut report = node.shutdown();
+        .map(|(mut report, sink)| {
             if let Some(sink) = sink {
                 report.events = sink.drain();
             }
             report
         })
-        .collect::<Vec<PeerReport>>();
+        .collect();
+    if let Some(scrape) = scrape {
+        scrape.shutdown();
+    }
 
-    Ok(assemble_report(config, manifest.generation_count(), elapsed, node_addrs, reports))
+    let mut report =
+        assemble_report(config, manifest.generation_count(), elapsed, node_addrs, reports);
+    if let Some(telemetry) = &telemetry {
+        report.reactor = telemetry.snapshots();
+    }
+    report.flight_dump = flight_dump;
+    Ok(report)
+}
+
+/// Best-effort write of a flight dump to the recorder's configured path
+/// (the dump also rides the report either way).
+fn write_dump(recorder: &FlightRecorder, dump: &str) {
+    if let Some(path) = &recorder.dump_path {
+        let _ = std::fs::write(path, dump);
+    }
 }
 
 /// Folds the per-node reports of a finished run into the aggregate
-/// [`SwarmReport`]. Shared by both runtimes so converged / bit-exact /
-/// total-counter semantics are computed identically, whatever scheduler
-/// produced the reports. `reports[0]` is the source.
-pub(crate) fn assemble_report(
+/// [`SwarmReport`]. `reports[0]` is the source.
+fn assemble_report(
     config: &SwarmConfig,
     generations: u32,
     elapsed: Duration,

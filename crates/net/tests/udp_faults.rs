@@ -13,7 +13,7 @@
 
 use std::net::UdpSocket;
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use ltnc_net::faults::{DatagramFaultPlan, DatagramFaults, FaultySocket};
 use ltnc_net::swarm::{run_localhost_swarm, SwarmConfig, SwarmRuntime};
@@ -54,7 +54,7 @@ fn lossy_config(scheme: SchemeKind, object_len: usize) -> SwarmConfig {
         session: 0xFA_0000 + scheme.wire_id() as u64,
         faults: Some(lossy_links(fault_seed())),
         trace_capacity: None,
-        runtime: SwarmRuntime::Threaded,
+        runtime: SwarmRuntime::default(),
         metrics_bind: None,
         flight_recorder: None,
     }
@@ -143,7 +143,7 @@ fn faulty_socket_delivery_is_deterministic_for_one_sender() {
             DatagramFaults::inbound(plan),
         )
         .expect("wrap");
-        socket.set_read_timeout(Some(Duration::from_millis(40))).expect("timeout");
+        socket.set_nonblocking(true).expect("nonblocking");
         let sender = UdpSocket::bind("127.0.0.1:0").expect("bind sender");
         let to = socket.local_addr().expect("addr");
         for i in 0..60u8 {
@@ -154,11 +154,12 @@ fn faulty_socket_delivery_is_deterministic_for_one_sender() {
         let mut buf = [0u8; 8];
         let mut quiet = 0;
         while quiet < 3 {
-            let before = Instant::now();
-            match socket.recv_from(&mut buf) {
-                Ok((_, _)) => seen.push(buf[0]),
-                Err(_) if before.elapsed() >= Duration::from_millis(30) => quiet += 1,
-                Err(_) => {}
+            match socket.try_recv_from(&mut buf).expect("try_recv") {
+                Some(_) => seen.push(buf[0]),
+                None => {
+                    quiet += 1;
+                    thread::sleep(Duration::from_millis(10));
+                }
             }
         }
         seen
@@ -195,7 +196,7 @@ fn stress_swarm_survives_heavy_loss_reordering_and_delay() {
             session: 0xFB_0000 + scheme.wire_id() as u64,
             faults: Some(faults),
             trace_capacity: None,
-            runtime: SwarmRuntime::Threaded,
+            runtime: SwarmRuntime::default(),
             metrics_bind: None,
             flight_recorder: None,
         };

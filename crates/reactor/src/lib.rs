@@ -1,11 +1,10 @@
 //! `ltnc-reactor`: a vendored mini-runtime for running many node state
 //! machines on a few threads.
 //!
-//! The thread-per-node runtime in `ltnc-net` burns two blocking OS
-//! threads per peer, which caps in-process swarms at a few hundred
-//! nodes. This crate provides the event-driven alternative the larger
-//! experiments need, with no external dependencies (crates.io is
-//! offline in the build environment):
+//! Every `ltnc-net` node runs on it — a 1000-node swarm on a handful of
+//! workers as much as a standalone `PeerNode` on a worker of its own —
+//! so no node ever costs an OS thread of its own. It has no external
+//! dependencies:
 //!
 //! * [`Poller`] — read-readiness polling: `epoll` (edge-triggered) on
 //!   Linux, a degraded-but-correct spurious-wakeup backend elsewhere;
@@ -22,9 +21,9 @@
 //!   waits, dispatch latencies, timer lag, queue drains), so embedding
 //!   crates can keep histograms without this crate owning any.
 //!
-//! The crate is deliberately protocol-agnostic: `ltnc-net` ports its
-//! `PeerNode` onto [`Driven`], but anything with a nonblocking
-//! descriptor and a tick can ride the same loop.
+//! The crate is deliberately protocol-agnostic: `ltnc-net` drives its
+//! node state machine through [`Driven`], but anything with a
+//! nonblocking descriptor and a tick can ride the same loop.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -28,8 +28,10 @@
 //!   outstanding leases re-assigned to the survivors.
 //!
 //! The structure is runtime-agnostic on purpose (blocking I/O behind
-//! small state machines, like `PeerNode`): porting to an async runtime
-//! changes the outer loops, not the protocol or the store.
+//! small state machines, the way `ltnc-net` keeps its node protocol in
+//! a state machine apart from the reactor that drives it): porting to
+//! an async runtime changes the outer loops, not the protocol or the
+//! store.
 //!
 //! Every layer is instrumented through `ltnc-telemetry`: the server
 //! emits session/connection/store trace events

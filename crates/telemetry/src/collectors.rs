@@ -21,7 +21,6 @@ pub fn wire_samples(c: &WireCounters) -> Vec<Sample> {
         Sample::plain("useful_deliveries", c.useful_deliveries),
         Sample::plain("decode_errors", c.decode_errors),
         Sample::plain("session_mismatches", c.session_mismatches),
-        Sample::plain("inbound_dropped", c.inbound_dropped),
         Sample::plain("offer_timeouts", c.offer_timeouts),
         Sample::plain("budget_raises", c.budget_raises),
         Sample::plain("budget_cuts", c.budget_cuts),
@@ -160,7 +159,7 @@ mod tests {
     fn wire_samples_cover_every_field() {
         let c = WireCounters { datagrams_sent: 3, budget_cuts: 2, ..WireCounters::new() };
         let samples = wire_samples(&c);
-        assert_eq!(samples.len(), 15);
+        assert_eq!(samples.len(), 14);
         assert!(samples.iter().any(|s| s.name == "datagrams_sent" && s.value == 3));
         assert!(samples.iter().any(|s| s.name == "budget_cuts" && s.value == 2));
     }

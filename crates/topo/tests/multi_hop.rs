@@ -52,7 +52,7 @@ fn lossy_config(
         ),
         node_faults: None,
         trace_capacity: None,
-        runtime: SwarmRuntime::Threaded,
+        runtime: SwarmRuntime::default(),
         metrics_bind: None,
         flight_recorder: None,
     }

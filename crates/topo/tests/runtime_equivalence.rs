@@ -1,22 +1,22 @@
-//! Reactor/thread equivalence: the same seeded configuration must
-//! behave the same on both [`SwarmRuntime`]s, for every topology shape
+//! Worker-count equivalence: the same seeded configuration must behave
+//! the same on one reactor worker as on three, for every topology shape
 //! and every scheme.
 //!
-//! "The same" is deliberately precise, because the two runtimes differ
-//! in *scheduling*, which timing-dependent quantities reflect:
+//! "The same" is deliberately precise, because the worker count changes
+//! *scheduling*, which timing-dependent quantities reflect:
 //!
-//! * **clean runs**: both runtimes converge, every delivered object is
-//!   bit-exact, and the injected-fault totals are identical (zero —
-//!   there is nothing to inject);
-//! * **faulty runs**: both runtimes converge bit-exactly *through* the
-//!   loss, both actually injected faults, and both exercised relay
-//!   recoding. Exact fault-count equality across runtimes is not a
+//! * **clean runs**: both configurations converge, every delivered
+//!   object is bit-exact, and the injected-fault totals are identical
+//!   (zero — there is nothing to inject);
+//! * **faulty runs**: both converge bit-exactly *through* the loss or
+//!   delay, both actually injected faults, and both exercised relay
+//!   recoding. Exact fault-count equality across worker counts is not a
 //!   meaningful property: how many datagrams cross a lossy link before
 //!   convergence depends on traffic volume, which is timing-dependent —
 //!   what is invariant is the delivered data and the protocol outcome.
 //!
-//! The sharded runtime's own determinism (same seed + same worker
-//! count, twice) is pinned in `sharded_determinism.rs`.
+//! The runtime's own determinism (same seed + same worker count, twice)
+//! is pinned in `sharded_determinism.rs`.
 
 use std::time::Duration;
 
@@ -79,84 +79,100 @@ fn run(scheme: SchemeKind, topology: &Topology, runtime: SwarmRuntime) -> Topolo
     report
 }
 
-/// Clean runs: both runtimes converge bit-exactly on every shape and
-/// scheme, deliver identical objects, inject nothing, and exercise
+/// The two worker counts every case compares.
+const ONE: SwarmRuntime = SwarmRuntime::Sharded { workers: 1 };
+const THREE: SwarmRuntime = SwarmRuntime::Sharded { workers: 3 };
+
+/// Clean runs: both worker counts converge bit-exactly on every shape
+/// and scheme, deliver identical objects, inject nothing, and exercise
 /// relay recoding wherever the overlay actually has relays.
 #[test]
 fn every_shape_and_scheme_is_equivalent_across_runtimes() {
     for topology in shapes() {
         for scheme in SchemeKind::ALL {
-            let threaded = run(scheme, &topology, SwarmRuntime::Threaded);
-            let sharded = run(scheme, &topology, SwarmRuntime::Sharded { workers: 2 });
+            let one = run(scheme, &topology, ONE);
+            let three = run(scheme, &topology, THREE);
 
-            for (t, s) in threaded.swarm.peer_reports.iter().zip(sharded.swarm.peer_reports.iter())
-            {
+            for (a, b) in one.swarm.peer_reports.iter().zip(three.swarm.peer_reports.iter()) {
                 assert_eq!(
-                    t.object, s.object,
-                    "{scheme:?} on {}: delivered objects differ across runtimes",
-                    threaded.topology_label
+                    a.object, b.object,
+                    "{scheme:?} on {}: delivered objects differ across worker counts",
+                    one.topology_label
                 );
             }
+            assert_eq!(one.swarm.total_faults.total(), 0, "clean 1-worker run must inject nothing");
             assert_eq!(
-                threaded.swarm.total_faults.total(),
+                three.swarm.total_faults.total(),
                 0,
-                "clean threaded run must inject nothing"
+                "clean 3-worker run must inject nothing"
             );
-            assert_eq!(
-                sharded.swarm.total_faults.total(),
-                0,
-                "clean sharded run must inject nothing"
-            );
-            assert_eq!(threaded.swarm.generations, sharded.swarm.generations);
-            if threaded.max_hops() >= 2 {
+            assert_eq!(one.swarm.generations, three.swarm.generations);
+            if one.max_hops() >= 2 {
                 assert!(
-                    threaded.relay_recoding_ops > 0,
-                    "{scheme:?} on {}: threaded relays must recode",
-                    threaded.topology_label
+                    one.relay_recoding_ops > 0,
+                    "{scheme:?} on {}: 1-worker relays must recode",
+                    one.topology_label
                 );
                 assert!(
-                    sharded.relay_recoding_ops > 0,
-                    "{scheme:?} on {}: sharded relays must recode",
-                    sharded.topology_label
+                    three.relay_recoding_ops > 0,
+                    "{scheme:?} on {}: 3-worker relays must recode",
+                    three.topology_label
                 );
             }
         }
     }
 }
 
-/// Faulty runs: seeded per-link loss on a pure relay chain. Both
-/// runtimes must converge bit-exactly through the loss, both must have
-/// injected faults, and both must have recoded at relays — the protocol
-/// outcome is runtime-invariant even when the traffic volume is not.
+/// Faulty runs: seeded per-link loss, then per-link delays, on a pure
+/// relay chain. Both worker counts must converge bit-exactly through the
+/// faults, both must have injected them, and both must have recoded at
+/// relays — the protocol outcome is scheduling-invariant even when the
+/// traffic volume is not.
 #[test]
 fn lossy_line_converges_bit_exactly_on_both_runtimes() {
-    let plan = DatagramFaultPlan::clean(fault_seed()).drop_rate(0.15);
-    for scheme in SchemeKind::ALL {
-        let mut reports = Vec::new();
-        for runtime in [SwarmRuntime::Threaded, SwarmRuntime::Sharded { workers: 2 }] {
-            let mut config = config(scheme, Topology::line(4), runtime);
-            config.link_faults = TopologyFaults::uniform(plan);
-            let report = run_topology(&config).expect("run starts");
-            assert!(
-                report.swarm.converged && report.swarm.bit_exact,
-                "{scheme:?} lossy line under {runtime:?} failed: {}/{} peers in {:?}",
-                report.swarm.peers_complete,
-                3,
-                report.swarm.elapsed
-            );
-            assert!(
-                report.swarm.total_faults.total() > 0,
-                "{scheme:?} under {runtime:?}: 15% per-link loss must drop something"
-            );
-            assert!(
-                report.relay_recoding_ops > 0,
-                "{scheme:?} under {runtime:?}: relays must recode through loss"
-            );
-            reports.push(report);
-        }
-        for (t, s) in reports[0].swarm.peer_reports.iter().zip(reports[1].swarm.peer_reports.iter())
-        {
-            assert_eq!(t.object, s.object, "{scheme:?}: delivered objects differ across runtimes");
+    let plans = [
+        DatagramFaultPlan::clean(fault_seed()).drop_rate(0.15),
+        DatagramFaultPlan::clean(fault_seed()).delay(0.3, Duration::from_millis(15)),
+    ];
+    for plan in plans {
+        for scheme in SchemeKind::ALL {
+            let mut reports = Vec::new();
+            for runtime in [ONE, THREE] {
+                let mut config = config(scheme, Topology::line(4), runtime);
+                config.link_faults = TopologyFaults::uniform(plan);
+                let report = run_topology(&config).expect("run starts");
+                assert!(
+                    report.swarm.converged && report.swarm.bit_exact,
+                    "{scheme:?} faulty line ({plan:?}) under {runtime:?} failed: {}/{} peers \
+                     in {:?}",
+                    report.swarm.peers_complete,
+                    3,
+                    report.swarm.elapsed
+                );
+                assert!(
+                    report.swarm.total_faults.total() > 0,
+                    "{scheme:?} under {runtime:?}: the per-link plan must inject something"
+                );
+                if plan.delay_rate > 0.0 {
+                    assert!(
+                        report.swarm.total_faults.delayed_in > 0,
+                        "{scheme:?} under {runtime:?}: the delay plan must delay something"
+                    );
+                }
+                assert!(
+                    report.relay_recoding_ops > 0,
+                    "{scheme:?} under {runtime:?}: relays must recode through the faults"
+                );
+                reports.push(report);
+            }
+            for (a, b) in
+                reports[0].swarm.peer_reports.iter().zip(reports[1].swarm.peer_reports.iter())
+            {
+                assert_eq!(
+                    a.object, b.object,
+                    "{scheme:?}: delivered objects differ across worker counts"
+                );
+            }
         }
     }
 }
