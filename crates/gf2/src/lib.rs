@@ -8,9 +8,10 @@
 //!   vectors "represented by bitmaps" in packet headers).
 //! * [`Payload`] — the `m`-byte data part of a packet, supporting in-place XOR.
 //! * [`EncodedPacket`] — a code vector together with its payload.
-//! * [`Gf2Matrix`] — a dense GF(2) matrix with row reduction, rank computation and
-//!   back-substitution, used by the Gaussian-elimination decoder of the RLNC
-//!   baseline.
+//! * [`Gf2Solver`] — incremental Gaussian elimination over received code vectors
+//!   (innovation checks, rank, back-substitution into per-native recipes), used by
+//!   the decoder of the RLNC baseline.
+//! * [`wire`] — the packet wire format and its zero-copy decoder.
 //!
 //! All operations are over GF(2): addition is XOR and every element is its own
 //! inverse, which is what makes the "substitution by adding a degree-2 packet"
@@ -47,6 +48,6 @@ pub mod wire;
 
 pub use code_vector::CodeVector;
 pub use error::Gf2Error;
-pub use matrix::{Gf2Matrix, Gf2Solver, RowEchelonReport};
+pub use matrix::Gf2Solver;
 pub use packet::EncodedPacket;
 pub use payload::Payload;

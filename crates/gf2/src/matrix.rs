@@ -1,5 +1,4 @@
 use core::cell::RefCell;
-use core::fmt;
 
 use crate::{CodeVector, Gf2Error};
 
@@ -28,156 +27,6 @@ fn xor_words(dst: &mut [u64], src: &[u64]) {
     }
 }
 
-/// A dense GF(2) matrix whose rows are [`CodeVector`]s.
-///
-/// This is the *code matrix* of the paper's RLNC baseline: every received code
-/// vector is appended as a row; the content is decodable once the matrix
-/// reaches rank `k`, using Gaussian reduction in `O(k²)` row operations (plus
-/// `O(m·k²)` work on payloads, accounted separately by the caller).
-///
-/// The matrix maintains an *incremental row-echelon form*: each inserted row is
-/// reduced against the existing pivots, so innovation checks (`is_innovative`)
-/// are a single reduction pass and rank queries are O(1).
-#[derive(Clone)]
-pub struct Gf2Matrix {
-    k: usize,
-    /// Reduced rows, at most one per pivot column. `pivots[c] = Some(row index)`.
-    rows: Vec<CodeVector>,
-    /// Maps a pivot column to the index in `rows` of the row whose leading 1 is that column.
-    pivots: Vec<Option<usize>>,
-    /// Number of GF(2) row XOR operations performed, for the cost model.
-    row_ops: u64,
-}
-
-/// Outcome of inserting a row into a [`Gf2Matrix`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RowEchelonReport {
-    /// Whether the row increased the rank of the matrix.
-    pub innovative: bool,
-    /// Rank of the matrix after the insertion.
-    pub rank: usize,
-    /// Number of row XOR operations this insertion required.
-    pub row_ops: u64,
-}
-
-impl Gf2Matrix {
-    /// Creates an empty matrix over `k` unknowns (rank 0).
-    #[must_use]
-    pub fn new(k: usize) -> Self {
-        Gf2Matrix { k, rows: Vec::new(), pivots: vec![None; k], row_ops: 0 }
-    }
-
-    /// Number of unknowns (code length `k`).
-    #[must_use]
-    pub fn code_length(&self) -> usize {
-        self.k
-    }
-
-    /// Current rank of the matrix.
-    #[must_use]
-    pub fn rank(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Returns `true` once the rank equals `k`, i.e. the content is decodable.
-    #[must_use]
-    pub fn is_full_rank(&self) -> bool {
-        self.rank() == self.k
-    }
-
-    /// Total number of row XOR operations performed so far (cost accounting).
-    #[must_use]
-    pub fn row_ops(&self) -> u64 {
-        self.row_ops
-    }
-
-    /// Reduces `vector` against the current pivots without modifying the matrix
-    /// and returns `true` when the residual is non-zero (the row would increase
-    /// the rank). This is the partial Gaussian reduction the paper's RLNC
-    /// baseline uses to detect non-innovative packets on reception; it runs in
-    /// a reused scratch buffer and does not clone the vector.
-    #[must_use]
-    pub fn is_innovative(&self, vector: &CodeVector) -> bool {
-        REDUCE_SCRATCH.with(|cell| {
-            let mut scratch = cell.borrow_mut();
-            scratch.clear();
-            scratch.extend_from_slice(vector.as_words());
-            loop {
-                match first_one_in_words(&scratch) {
-                    None => return false,
-                    Some(col) => match self.pivots[col] {
-                        Some(row) => xor_words(&mut scratch, self.rows[row].as_words()),
-                        None => return true,
-                    },
-                }
-            }
-        })
-    }
-
-    /// Inserts a row, keeping the matrix in row-echelon form.
-    ///
-    /// Returns a report stating whether the row was innovative, together with
-    /// the new rank and the number of row operations spent. Non-innovative rows
-    /// are discarded.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the vector length differs from the matrix code length.
-    pub fn insert(&mut self, vector: CodeVector) -> RowEchelonReport {
-        assert_eq!(vector.len(), self.k, "row length must match code length");
-        let (reduced, ops) = self.reduce(vector);
-        self.row_ops += ops;
-        if let Some(pivot) = reduced.first_one() {
-            self.pivots[pivot] = Some(self.rows.len());
-            self.rows.push(reduced);
-            RowEchelonReport { innovative: true, rank: self.rank(), row_ops: ops }
-        } else {
-            RowEchelonReport { innovative: false, rank: self.rank(), row_ops: ops }
-        }
-    }
-
-    /// Reduces a vector against the current pivots, returning the residual and
-    /// the number of row XORs spent.
-    fn reduce(&self, mut vector: CodeVector) -> (CodeVector, u64) {
-        let mut ops = 0;
-        loop {
-            match vector.first_one() {
-                None => return (vector, ops),
-                Some(col) => match self.pivots[col] {
-                    Some(row) => {
-                        vector.xor_assign(&self.rows[row]);
-                        ops += 1;
-                    }
-                    None => return (vector, ops),
-                },
-            }
-        }
-    }
-
-    /// Expresses each unknown as a combination of the inserted (original) rows
-    /// is not tracked here; instead, callers that need payload recovery keep
-    /// payloads aligned with rows via [`Gf2Solver`].
-    ///
-    /// Returns the reduced rows in pivot order (row-echelon form), mainly for
-    /// diagnostics and tests.
-    #[must_use]
-    pub fn echelon_rows(&self) -> Vec<CodeVector> {
-        let mut out: Vec<CodeVector> = Vec::with_capacity(self.rows.len());
-        let mut cols: Vec<usize> = (0..self.k).filter(|&c| self.pivots[c].is_some()).collect();
-        cols.sort_unstable();
-        for c in cols {
-            out.push(self.rows[self.pivots[c].expect("pivot present")].clone());
-        }
-        out
-    }
-}
-
-impl fmt::Debug for Gf2Matrix {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Gf2Matrix(k={}, rank={})", self.k, self.rank())
-    }
-}
-
 /// A full Gaussian-elimination solver that tracks, for every reduced row, the
 /// combination of *original* inserted rows it corresponds to.
 ///
@@ -196,8 +45,6 @@ pub struct Gf2Solver {
     combos: Vec<CodeVector>,
     /// pivot column -> index into rows/combos
     pivots: Vec<Option<usize>>,
-    /// Number of original rows inserted (innovative or not).
-    inserted: usize,
     /// Maximum number of original rows the combination bitmaps can address.
     capacity: usize,
     row_ops: u64,
@@ -212,7 +59,6 @@ impl Gf2Solver {
             rows: Vec::new(),
             combos: Vec::new(),
             pivots: vec![None; k],
-            inserted: 0,
             capacity,
             row_ops: 0,
         }
@@ -236,10 +82,10 @@ impl Gf2Solver {
         self.rank() == self.k
     }
 
-    /// Number of original rows inserted so far (used as the next row id).
+    /// Number of rows stored so far: the id the next innovative row gets.
     #[must_use]
     pub fn inserted(&self) -> usize {
-        self.inserted
+        self.rows.len()
     }
 
     /// Total row XOR operations spent (control-structure cost).
@@ -253,28 +99,15 @@ impl Gf2Solver {
     /// Reduces into a reused scratch buffer: no clone, no allocation.
     #[must_use]
     pub fn is_innovative(&self, vector: &CodeVector) -> bool {
-        REDUCE_SCRATCH.with(|cell| {
-            let mut scratch = cell.borrow_mut();
-            scratch.clear();
-            scratch.extend_from_slice(vector.as_words());
-            loop {
-                match first_one_in_words(&scratch) {
-                    None => return false,
-                    Some(col) => match self.pivots[col] {
-                        Some(row) => xor_words(&mut scratch, self.rows[row].as_words()),
-                        None => return true,
-                    },
-                }
-            }
-        })
+        self.reduce(vector, |_| {}, |_, _| ()).is_some()
     }
 
     /// Reduce-once insertion for the receive path: reduces `vector` against
     /// the current pivots a single time and stores it only when innovative,
     /// returning the id assigned to the stored row. Redundant vectors consume
     /// no id (callers that keep payload buffers aligned with ids drop the
-    /// packet in that case), and the single reduction replaces the
-    /// `is_innovative` + [`Gf2Solver::insert`] double walk.
+    /// packet in that case), and the row XORs spent reducing are counted in
+    /// [`Gf2Solver::row_ops`] either way.
     ///
     /// # Panics
     ///
@@ -283,77 +116,63 @@ impl Gf2Solver {
     pub fn insert_if_innovative(&mut self, vector: &CodeVector) -> Option<usize> {
         assert_eq!(vector.len(), self.k, "row length must match code length");
         let mut used_rows: Vec<usize> = Vec::new();
-        let residual = REDUCE_SCRATCH.with(|cell| {
-            let mut scratch = cell.borrow_mut();
-            scratch.clear();
-            scratch.extend_from_slice(vector.as_words());
-            loop {
-                match first_one_in_words(&scratch) {
-                    None => return None,
-                    Some(col) => match self.pivots[col] {
-                        Some(row) => {
-                            xor_words(&mut scratch, self.rows[row].as_words());
-                            used_rows.push(row);
-                        }
-                        None => return Some((col, scratch.clone())),
-                    },
-                }
-            }
-        });
+        let residual =
+            self.reduce(vector, |row| used_rows.push(row), |col, words| (col, words.to_vec()));
         self.row_ops += used_rows.len() as u64;
         let (col, words) = residual?;
-        assert!(self.inserted < self.capacity, "solver capacity exceeded");
-        let id = self.inserted;
-        self.inserted += 1;
+        let id = self.rows.len();
+        assert!(id < self.capacity, "solver capacity exceeded");
         let mut combo = CodeVector::singleton(self.capacity, id);
         for &row in &used_rows {
             combo.xor_assign(&self.combos[row]);
         }
-        self.pivots[col] = Some(self.rows.len());
+        self.pivots[col] = Some(id);
         self.rows.push(CodeVector::from_words(self.k, words));
         self.combos.push(combo);
         Some(id)
     }
 
-    /// Inserts a received code vector. Returns the id assigned to the row (its
-    /// insertion index) and whether it was innovative. Non-innovative rows
-    /// still consume an id so that callers can keep payload buffers aligned.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the vector length differs from `k` or more than `capacity`
-    /// rows have been inserted.
-    pub fn insert(&mut self, vector: CodeVector) -> (usize, bool) {
-        assert_eq!(vector.len(), self.k, "row length must match code length");
-        assert!(self.inserted < self.capacity, "solver capacity exceeded");
-        let id = self.inserted;
-        self.inserted += 1;
-
-        let mut v = vector;
-        let mut combo = CodeVector::singleton(self.capacity, id);
-        loop {
-            match v.first_one() {
-                None => return (id, false),
-                Some(col) => match self.pivots[col] {
-                    Some(row) => {
-                        v.xor_assign(&self.rows[row]);
-                        combo.xor_assign(&self.combos[row]);
-                        self.row_ops += 1;
-                    }
-                    None => {
-                        self.pivots[col] = Some(self.rows.len());
-                        self.rows.push(v);
-                        self.combos.push(combo);
-                        return (id, true);
-                    }
-                },
+    /// Reduces `vector` against the pivot rows in the thread-local scratch,
+    /// calling `on_xor` with each pivot row XOR-ed in. When a non-zero
+    /// residual remains, returns `residual(leading column, residual words)`;
+    /// returns `None` when the vector reduces to zero.
+    fn reduce<R>(
+        &self,
+        vector: &CodeVector,
+        mut on_xor: impl FnMut(usize),
+        residual: impl FnOnce(usize, &[u64]) -> R,
+    ) -> Option<R> {
+        REDUCE_SCRATCH.with(|cell| {
+            let mut scratch = cell.borrow_mut();
+            scratch.clear();
+            scratch.extend_from_slice(vector.as_words());
+            loop {
+                let col = first_one_in_words(&scratch)?;
+                let Some(row) = self.pivots[col] else {
+                    return Some(residual(col, &scratch));
+                };
+                xor_words(&mut scratch, self.rows[row].as_words());
+                on_xor(row);
             }
-        }
+        })
     }
 
     /// Solves the full-rank system by back-substitution and returns, for each
     /// native packet index `i`, the set of original row ids whose payloads must
     /// be XOR-ed to recover `x_i`.
+    ///
+    /// Textbook back-substitution eliminates the pivot columns from the
+    /// highest down, XOR-ing pivot row `c` (and its combination) into every
+    /// earlier row with bit `c` set. When column `c` is processed, its pivot
+    /// row has already been reduced to the unit vector `e_c`, so each such
+    /// XOR only clears bit `c` of the destination, and that bit is still the
+    /// one the destination had after forward reduction. This solver does
+    /// exactly those XORs on the combinations and skips the code-vector
+    /// halves: the recipe of `x_col` is the combination of the row whose
+    /// leading one is `col`, XOR-ed with the (final) recipe of every other
+    /// column set in that row. Each of those XORs is one row operation in
+    /// [`Gf2Solver::row_ops`], the same count as the row-by-row elimination,
+    /// and none of them clones or allocates.
     ///
     /// # Errors
     ///
@@ -363,30 +182,18 @@ impl Gf2Solver {
         if !self.is_full_rank() {
             return Err(Gf2Error::NotFullRank { rank: self.rank(), needed: self.k });
         }
-        // Back-substitution: process pivot columns from highest to lowest and
-        // eliminate that column from every other row.
-        let mut rows = self.rows.clone();
-        let mut combos = self.combos.clone();
-        let pivot_of_col: Vec<usize> = (0..self.k)
-            .map(|c| self.pivots[c].expect("full rank implies pivot in every column"))
-            .collect();
-        for col in (0..self.k).rev() {
-            let src = pivot_of_col[col];
-            for &dst in &pivot_of_col[..col] {
-                if rows[dst].contains(col) {
-                    let (src_row, src_combo) = (rows[src].clone(), combos[src].clone());
-                    rows[dst].xor_assign(&src_row);
-                    combos[dst].xor_assign(&src_combo);
-                    self.row_ops += 1;
-                }
-            }
-        }
-        // After full reduction, the row whose pivot is column i is exactly e_i.
         let mut recipes = vec![CodeVector::zero(self.capacity); self.k];
-        for (col, recipe) in recipes.iter_mut().enumerate() {
-            let r = pivot_of_col[col];
-            debug_assert_eq!(rows[r].ones(), vec![col], "row must reduce to a unit vector");
-            *recipe = combos[r].clone();
+        for col in (0..self.k).rev() {
+            let r = self.pivots[col].expect("full rank implies pivot in every column");
+            // `done[i]` is the final recipe of column `col + 1 + i`.
+            let (head, done) = recipes.split_at_mut(col + 1);
+            let recipe = &mut head[col];
+            recipe.xor_assign(&self.combos[r]);
+            // The row's leading one is `col`; every other one lies above it.
+            for above in self.rows[r].iter_ones().skip(1) {
+                recipe.xor_assign(&done[above - col - 1]);
+                self.row_ops += 1;
+            }
         }
         Ok(recipes)
     }
@@ -395,83 +202,127 @@ impl Gf2Solver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Payload;
     use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
 
     fn cv(k: usize, idx: &[usize]) -> CodeVector {
         CodeVector::from_indices(k, idx)
     }
 
+    /// Textbook row-by-row back-substitution, cloning the source row and its
+    /// combination for every row XOR: the reference `solve` must match.
+    /// Returns the recipes and the row XORs spent, without touching the
+    /// solver.
+    fn reference_solve(s: &Gf2Solver) -> (Vec<CodeVector>, u64) {
+        let (mut rows, mut combos) = (s.rows.clone(), s.combos.clone());
+        let pivot_of_col: Vec<usize> = s.pivots.iter().map(|p| p.unwrap()).collect();
+        let mut row_ops = 0;
+        for col in (0..s.k).rev() {
+            let src = pivot_of_col[col];
+            for &dst in &pivot_of_col[..col] {
+                if rows[dst].contains(col) {
+                    let (src_row, src_combo) = (rows[src].clone(), combos[src].clone());
+                    rows[dst].xor_assign(&src_row);
+                    combos[dst].xor_assign(&src_combo);
+                    row_ops += 1;
+                }
+            }
+        }
+        (pivot_of_col.iter().map(|&r| combos[r].clone()).collect(), row_ops)
+    }
+
+    /// Payload recovery with one `xor_assign` per recipe bit, the work the
+    /// RLNC decoder charges as payload XORs. Returns the natives and that count.
+    fn reference_recover(recipes: &[CodeVector], payloads: &[Payload]) -> (Vec<Payload>, u64) {
+        let mut xors = 0;
+        let natives = recipes
+            .iter()
+            .map(|recipe| {
+                let mut acc = Payload::zero(payloads[0].len());
+                for id in recipe.iter_ones() {
+                    acc.xor_assign(&payloads[id]);
+                    xors += 1;
+                }
+                acc
+            })
+            .collect();
+        (natives, xors)
+    }
+
     #[test]
     fn empty_matrix_has_rank_zero() {
-        let m = Gf2Matrix::new(5);
-        assert_eq!(m.rank(), 0);
-        assert!(!m.is_full_rank());
-        assert_eq!(m.code_length(), 5);
+        let s = Gf2Solver::new(5, 8);
+        assert_eq!(s.rank(), 0);
+        assert!(!s.is_full_rank());
+        assert_eq!(s.code_length(), 5);
     }
 
     #[test]
     fn inserting_independent_rows_increases_rank() {
-        let mut m = Gf2Matrix::new(3);
-        assert!(m.insert(cv(3, &[0, 1])).innovative);
-        assert!(m.insert(cv(3, &[1, 2])).innovative);
-        assert!(m.insert(cv(3, &[2])).innovative);
-        assert!(m.is_full_rank());
+        let mut s = Gf2Solver::new(3, 8);
+        assert!(s.insert_if_innovative(&cv(3, &[0, 1])).is_some());
+        assert!(s.insert_if_innovative(&cv(3, &[1, 2])).is_some());
+        assert!(s.insert_if_innovative(&cv(3, &[2])).is_some());
+        assert!(s.is_full_rank());
     }
 
     #[test]
     fn dependent_row_is_not_innovative() {
-        let mut m = Gf2Matrix::new(3);
-        m.insert(cv(3, &[0, 1]));
-        m.insert(cv(3, &[1, 2]));
-        let r = m.insert(cv(3, &[0, 2])); // = row0 + row1
-        assert!(!r.innovative);
-        assert_eq!(m.rank(), 2);
+        let mut s = Gf2Solver::new(3, 8);
+        s.insert_if_innovative(&cv(3, &[0, 1]));
+        s.insert_if_innovative(&cv(3, &[1, 2]));
+        // = row0 + row1
+        assert_eq!(s.insert_if_innovative(&cv(3, &[0, 2])), None);
+        assert_eq!(s.rank(), 2);
     }
 
     #[test]
     fn zero_row_is_never_innovative() {
-        let mut m = Gf2Matrix::new(4);
-        assert!(!m.insert(cv(4, &[])).innovative);
-        assert!(!m.is_innovative(&cv(4, &[])));
+        let mut s = Gf2Solver::new(4, 8);
+        assert_eq!(s.insert_if_innovative(&cv(4, &[])), None);
+        assert!(!s.is_innovative(&cv(4, &[])));
     }
 
     #[test]
     fn is_innovative_matches_insert() {
-        let mut m = Gf2Matrix::new(4);
-        m.insert(cv(4, &[0, 1]));
-        m.insert(cv(4, &[1, 2]));
-        assert!(!m.is_innovative(&cv(4, &[0, 2])));
-        assert!(m.is_innovative(&cv(4, &[3])));
-        assert!(m.is_innovative(&cv(4, &[0, 3])));
+        let mut s = Gf2Solver::new(4, 8);
+        s.insert_if_innovative(&cv(4, &[0, 1]));
+        s.insert_if_innovative(&cv(4, &[1, 2]));
+        assert!(!s.is_innovative(&cv(4, &[0, 2])));
+        assert!(s.is_innovative(&cv(4, &[3])));
+        assert!(s.is_innovative(&cv(4, &[0, 3])));
     }
 
     #[test]
     fn row_ops_are_counted() {
-        let mut m = Gf2Matrix::new(4);
-        m.insert(cv(4, &[0]));
-        let before = m.row_ops();
-        m.insert(cv(4, &[0, 1])); // requires one reduction against pivot 0
-        assert!(m.row_ops() > before);
+        let mut s = Gf2Solver::new(4, 8);
+        s.insert_if_innovative(&cv(4, &[0]));
+        let before = s.row_ops();
+        // requires one reduction against pivot 0
+        s.insert_if_innovative(&cv(4, &[0, 1]));
+        assert!(s.row_ops() > before);
     }
 
     #[test]
     #[should_panic(expected = "row length")]
     fn insert_wrong_length_panics() {
-        let mut m = Gf2Matrix::new(4);
-        m.insert(cv(5, &[0]));
+        let mut s = Gf2Solver::new(4, 8);
+        s.insert_if_innovative(&cv(5, &[0]));
     }
 
     #[test]
     fn echelon_rows_have_distinct_pivots() {
-        let mut m = Gf2Matrix::new(6);
-        m.insert(cv(6, &[0, 3, 5]));
-        m.insert(cv(6, &[0, 1]));
-        m.insert(cv(6, &[1, 2, 3]));
-        let rows = m.echelon_rows();
-        let pivots: Vec<usize> = rows.iter().map(|r| r.first_one().unwrap()).collect();
+        let mut s = Gf2Solver::new(6, 8);
+        s.insert_if_innovative(&cv(6, &[0, 3, 5]));
+        s.insert_if_innovative(&cv(6, &[0, 1]));
+        s.insert_if_innovative(&cv(6, &[1, 2, 3]));
+        let pivots: Vec<usize> = s.rows.iter().map(|r| r.first_one().unwrap()).collect();
         let mut sorted = pivots.clone();
+        sorted.sort_unstable();
         sorted.dedup();
-        assert_eq!(pivots.len(), m.rank());
+        assert_eq!(pivots.len(), s.rank());
         assert_eq!(sorted.len(), pivots.len());
     }
 
@@ -480,9 +331,7 @@ mod tests {
         // Insert unit vectors: recipe for x_i is exactly row i.
         let mut s = Gf2Solver::new(3, 8);
         for i in 0..3 {
-            let (id, innovative) = s.insert(cv(3, &[i]));
-            assert_eq!(id, i);
-            assert!(innovative);
+            assert_eq!(s.insert_if_innovative(&cv(3, &[i])), Some(i));
         }
         let recipes = s.solve().unwrap();
         for (i, r) in recipes.iter().enumerate() {
@@ -495,9 +344,9 @@ mod tests {
         // y0 = x0+x1, y1 = x1, y2 = x1+x2
         // => x0 = y0+y1, x1 = y1, x2 = y1+y2
         let mut s = Gf2Solver::new(3, 8);
-        s.insert(cv(3, &[0, 1]));
-        s.insert(cv(3, &[1]));
-        s.insert(cv(3, &[1, 2]));
+        s.insert_if_innovative(&cv(3, &[0, 1]));
+        s.insert_if_innovative(&cv(3, &[1]));
+        s.insert_if_innovative(&cv(3, &[1, 2]));
         let recipes = s.solve().unwrap();
         assert_eq!(recipes[0].ones(), vec![0, 1]);
         assert_eq!(recipes[1].ones(), vec![1]);
@@ -507,28 +356,17 @@ mod tests {
     #[test]
     fn solver_not_full_rank_error() {
         let mut s = Gf2Solver::new(3, 8);
-        s.insert(cv(3, &[0, 1]));
+        s.insert_if_innovative(&cv(3, &[0, 1]));
         let err = s.solve().unwrap_err();
         assert_eq!(err, Gf2Error::NotFullRank { rank: 1, needed: 3 });
-    }
-
-    #[test]
-    fn solver_counts_non_innovative_insertions() {
-        let mut s = Gf2Solver::new(2, 8);
-        let (_, a) = s.insert(cv(2, &[0]));
-        let (_, b) = s.insert(cv(2, &[0]));
-        assert!(a);
-        assert!(!b);
-        assert_eq!(s.inserted(), 2);
-        assert_eq!(s.rank(), 1);
     }
 
     #[test]
     #[should_panic(expected = "capacity exceeded")]
     fn solver_capacity_is_enforced() {
         let mut s = Gf2Solver::new(2, 1);
-        s.insert(cv(2, &[0]));
-        s.insert(cv(2, &[1]));
+        s.insert_if_innovative(&cv(2, &[0]));
+        s.insert_if_innovative(&cv(2, &[1]));
     }
 
     #[test]
@@ -546,14 +384,15 @@ mod tests {
 
     #[test]
     fn insert_if_innovative_matches_insert_solutions() {
-        // Same rows through both entry points must yield the same recipes.
+        // Filtering with `is_innovative` first must not change what
+        // `insert_if_innovative` stores or the recipes it solves to.
         let rows: &[&[usize]] = &[&[0, 1], &[1], &[1, 2], &[0, 2], &[2]];
         let mut a = Gf2Solver::new(3, 8);
         let mut b = Gf2Solver::new(3, 8);
         for r in rows {
             let innovative = a.is_innovative(&cv(3, r));
             if innovative {
-                a.insert(cv(3, r));
+                assert!(a.insert_if_innovative(&cv(3, r)).is_some());
             }
             assert_eq!(b.insert_if_innovative(&cv(3, r)).is_some(), innovative);
         }
@@ -577,6 +416,50 @@ mod tests {
         assert_eq!(s.inserted(), 0);
     }
 
+    /// Pins the XOR set of `solve` to the clone-based reference on seeded
+    /// RLNC streams (uniformly random code vectors, as the RLNC source
+    /// emits): the same recipes and row XOR count, and so the same natives
+    /// and payload XOR count when the payloads are recovered bit by bit.
+    #[test]
+    fn solve_matches_clone_based_reference() {
+        let m = 8;
+        for (k, seed) in [(32usize, 32u64), (256, 256), (1024, 1024)] {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let natives: Vec<Payload> = (0..k)
+                .map(|_| {
+                    let mut bytes = vec![0u8; m];
+                    rng.fill(&mut bytes[..]);
+                    Payload::from_vec(bytes)
+                })
+                .collect();
+            let mut s = Gf2Solver::new(k, k);
+            let mut payloads = Vec::with_capacity(k);
+            while !s.is_full_rank() {
+                let vector = CodeVector::from_indices(
+                    k,
+                    &(0..k).filter(|_| rng.gen_bool(0.5)).collect::<Vec<_>>(),
+                );
+                if s.insert_if_innovative(&vector).is_some() {
+                    let mut payload = Payload::zero(m);
+                    for i in vector.iter_ones() {
+                        payload.xor_assign(&natives[i]);
+                    }
+                    payloads.push(payload);
+                }
+            }
+            let (want_recipes, want_ops) = reference_solve(&s);
+            let before = s.row_ops();
+            let recipes = s.solve().unwrap();
+            assert_eq!(recipes, want_recipes, "k = {k}");
+            assert_eq!(s.row_ops() - before, want_ops, "k = {k}");
+            let (got, xors) = reference_recover(&recipes, &payloads);
+            let (want, want_xors) = reference_recover(&want_recipes, &payloads);
+            assert_eq!(got, natives, "k = {k}");
+            assert_eq!(got, want, "k = {k}");
+            assert_eq!(xors, want_xors, "k = {k}");
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -584,41 +467,34 @@ mod tests {
         #[test]
         fn prop_rank_bounds(rows in proptest::collection::vec(
             proptest::collection::vec(0usize..16, 0..8), 0..32)) {
-            let mut m = Gf2Matrix::new(16);
+            let mut s = Gf2Solver::new(16, 16);
             let mut innovative_count = 0;
             for r in &rows {
-                let before = m.rank();
-                let rep = m.insert(cv(16, r));
-                if rep.innovative {
+                let before = s.rank();
+                if s.insert_if_innovative(&cv(16, r)).is_some() {
                     innovative_count += 1;
-                    prop_assert_eq!(m.rank(), before + 1);
+                    prop_assert_eq!(s.rank(), before + 1);
                 } else {
-                    prop_assert_eq!(m.rank(), before);
+                    prop_assert_eq!(s.rank(), before);
                 }
             }
-            prop_assert_eq!(m.rank(), innovative_count);
-            prop_assert!(m.rank() <= 16);
+            prop_assert_eq!(s.rank(), innovative_count);
+            prop_assert!(s.rank() <= 16);
         }
 
         /// When the solver reaches full rank, the recipes actually reconstruct
-        /// the unit vectors from the original inserted rows.
+        /// the unit vectors from the original stored rows.
         #[test]
         fn prop_solver_recipes_reconstruct_unit_vectors(seed_rows in proptest::collection::vec(
             proptest::collection::vec(0usize..8, 1..6), 24..40)) {
             let k = 8;
-            let capacity = seed_rows.len() + k;
-            let mut s = Gf2Solver::new(k, capacity);
+            let mut s = Gf2Solver::new(k, k);
             let mut originals: Vec<CodeVector> = Vec::new();
-            for r in &seed_rows {
-                let v = cv(k, r);
-                originals.push(v.clone());
-                s.insert(v);
-            }
             // Top up with unit vectors to guarantee full rank.
-            for i in 0..k {
-                let v = cv(k, &[i]);
-                originals.push(v.clone());
-                s.insert(v);
+            for v in seed_rows.iter().map(|r| cv(k, r)).chain((0..k).map(|i| cv(k, &[i]))) {
+                if s.insert_if_innovative(&v).is_some() {
+                    originals.push(v);
+                }
             }
             let recipes = s.solve().unwrap();
             for (i, recipe) in recipes.iter().enumerate() {

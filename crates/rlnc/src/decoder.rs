@@ -303,6 +303,30 @@ mod tests {
         assert!(dec.counters().control_ops() > 0);
     }
 
+    /// `decode` charges exactly the solver's row XORs as `RowReduction` and
+    /// one `PayloadXor` per recipe bit, so the Fig. 8 counts follow the
+    /// solver's XOR set (pinned to a reference in `ltnc_gf2`'s matrix tests).
+    #[test]
+    fn decode_charges_solver_row_ops_and_one_payload_xor_per_recipe_bit() {
+        for (k, seed) in [(32usize, 32u64), (256, 256), (1024, 1024)] {
+            let nat = natives(k, 8);
+            let mut dec = GaussianDecoder::new(k, 8);
+            let mut solver = Gf2Solver::new(k, k);
+            let mut rng = SmallRng::seed_from_u64(seed);
+            while !dec.is_full_rank() {
+                let indices: Vec<usize> = (0..k).filter(|_| rng.gen_bool(0.5)).collect();
+                let p = packet(k, &indices, &nat);
+                let stored = solver.insert_if_innovative(p.vector()).is_some();
+                assert_eq!(dec.insert(&p).unwrap(), stored);
+            }
+            let recipes = solver.solve().unwrap();
+            assert_eq!(dec.decode().unwrap(), nat, "k = {k}");
+            assert_eq!(dec.counters().get(OpKind::RowReduction), solver.row_ops(), "k = {k}");
+            let recipe_bits: u64 = recipes.iter().map(|r| r.degree() as u64).sum();
+            assert_eq!(dec.counters().get(OpKind::PayloadXor), recipe_bits, "k = {k}");
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
